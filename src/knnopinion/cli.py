@@ -32,7 +32,7 @@ from .harness import (
     batch_sweep,
     simulate,
 )
-from .numerics import EXACT, BackendError, format_scalar, parse_scalar
+from .numerics import EXACT, BackendError, format_scalar
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -42,6 +42,8 @@ from .scenario import (
     ScenarioSpec,
     ScheduleSpec,
     load_scenario,
+    parse_scalar_field,
+    parse_scalar_list,
     parse_scenario,
 )
 from .verification import run_suite
@@ -60,11 +62,14 @@ def _load_json(path):
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
-def _config_from_raw(raw) -> Configuration:
+def _config_from_raw(raw, where="") -> Configuration:
+    """`where` prefixes the field names in error messages ("base." for the
+    base configuration of a robustness document)."""
     if isinstance(raw, dict) and "groups" in raw:
         opinions = []
-        for g in raw["groups"]:
-            opinions.extend([parse_scalar(g["opinion"])] * int(g["size"]))
+        for i, g in enumerate(raw["groups"]):
+            value = parse_scalar_field(g["opinion"], f"{where}groups[{i}].opinion")
+            opinions.extend([value] * int(g["size"]))
         return Configuration(opinions)
     if isinstance(raw, dict) and "opinions" in raw:
         raw = raw["opinions"]
@@ -73,7 +78,7 @@ def _config_from_raw(raw) -> Configuration:
             "configuration file must hold a JSON array or an object "
             "with 'opinions' or 'groups'"
         )
-    return Configuration([parse_scalar(v) for v in raw])
+    return Configuration(parse_scalar_list(raw, f"{where}opinions"))
 
 
 def _write_json(payload, path):
@@ -147,14 +152,14 @@ def _parse_additions(raw_additions, seed):
                 raise ScenarioError("additions.opinion.kind must be uniform_random")
             value = rng.uniform(float(op.get("low", 0.0)), float(op.get("high", 1.0)))
         else:
-            value = float(parse_scalar(op))
+            value = float(parse_scalar_field(op, f"additions[{len(additions)}].opinion"))
         additions.append((int(entry["step"]), value))
     return additions
 
 
 def cmd_robustness(args) -> int:
     raw = _load_json(args.spec)
-    base = _config_from_raw(raw["base"])
+    base = _config_from_raw(raw["base"], "base.")
     k = int(raw["k"])
     abc_d = raw.get("abc_d")
     if args.mode == "add":

@@ -8,11 +8,27 @@ agent may or may not survive into its own neighbor set.
 
 ABC rule: all agents within distance d, always including the agent itself.
 
+knn_indices is the literal rule: it sorts all n agents per call, and it is
+the oracle. OpinionIndex gives the same answer in O(log n + k) for a run
+that updates one agent at a time. It keeps the opinions sorted as (value,
+position) pairs. From the updater it grows a window outward, always taking
+the nearer of the two next pairs, until the window holds k agents. Computed
+distances abs(v - x) never decrease going outward from x on either side,
+because rounding of x - v is monotone in v. So the window holds the k
+smallest computed distances, and any agent left outside is at least as far
+as the k-th. Those exactly as far can still win on id, so the window then
+takes in every pair whose computed distance equals the k-th. Candidates are
+grouped by computed distance, not by value: two distinct values can round
+to one distance (from x = 1.0, both 0.0 and 2**-60 are at 1.0). Sorting the
+candidates by (abs(v - x), j) then yields exactly knn_indices' list, in its
+order, which float means depend on, because they sum in that order.
+
 Agent ids are 1-based in every public interface.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -134,6 +150,66 @@ def knn_indices(opinions: Sequence[Scalar], idx: int, k: int) -> list:
     else:
         order = sorted(range(n), key=lambda j: (abs(opinions[j] - xi), j))
     return order[:k]
+
+
+class OpinionIndex:
+    """A run's opinion list, indexed as sorted (value, position) pairs.
+
+    Writes to `opinions` go through move(); positions are 0-based, as in
+    knn_indices. Build a new index when positions shift (an agent is added
+    or removed). Values must be totally ordered, so no NaN.
+    """
+
+    __slots__ = ("opinions", "pairs")
+
+    def __init__(self, opinions: list):
+        self.opinions = opinions
+        self.pairs = sorted(zip(opinions, range(len(opinions))))
+
+    def min(self) -> Scalar:
+        return self.pairs[0][0]
+
+    def max(self) -> Scalar:
+        # equal maxima (0.0 and -0.0) sit in position order; max() returns
+        # the first of them, so this must too
+        pairs = self.pairs
+        return pairs[bisect_left(pairs, (pairs[-1][0],))][0]
+
+    def move(self, idx: int, value: Scalar) -> None:
+        """Set opinions[idx] = value and re-sort its pair."""
+        pairs = self.pairs
+        del pairs[bisect_left(pairs, (self.opinions[idx], idx))]
+        insort(pairs, (value, idx))
+        self.opinions[idx] = value
+
+    def knn(self, idx: int, k: int) -> list:
+        """Exactly knn_indices(opinions, idx, k), in the same order."""
+        pairs, x = self.pairs, self.opinions[idx]
+        n = len(pairs)
+        lo = hi = bisect_left(pairs, (x, idx))
+        # pairs[lo:hi] is the window taken so far and `near` its (distance,
+        # position) keys, in the order taken, which is by distance; dl and dr
+        # are the distances of the next pair out on each side, None past an end
+        near = []
+        dl = abs(pairs[lo - 1][0] - x) if lo else None
+        dr = abs(pairs[hi][0] - x)
+        while True:
+            left = dr is None or (dl is not None and dl <= dr)
+            d = dl if left else dr
+            # past k agents, a pair exactly as far as the k-th can still win
+            # on id, so keep taking while the next is that far
+            if len(near) >= k and d != near[-1][0]:
+                break
+            if left:
+                lo -= 1
+                near.append((d, pairs[lo][1]))
+                dl = abs(pairs[lo - 1][0] - x) if lo else None
+            else:
+                near.append((d, pairs[hi][1]))
+                hi += 1
+                dr = abs(pairs[hi][0] - x) if hi < n else None
+        near.sort()
+        return [j for _, j in near[:k]]
 
 
 def abc_indices(opinions: Sequence[Scalar], idx: int, d: Scalar) -> list:

@@ -17,6 +17,7 @@ from typing import Optional
 from .convergence import ShrinkSchedule, run_shrink_schedule
 from .dynamics import (
     Configuration,
+    OpinionIndex,
     ParameterError,
     abc_update,
     abc_updated_value,
@@ -24,7 +25,7 @@ from .dynamics import (
     knn_updated_value,
 )
 from .equilibria import is_clustered, is_equilibrium, partition_clusters, single_linkage_groups
-from .numerics import EXACT, FLOAT, Scalar, backend_of
+from .numerics import EXACT, FLOAT, Scalar, backend_of, mean_of
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -91,25 +92,28 @@ def _coerce_added(value, backend: str) -> Scalar:
     )
 
 
-def _updated_value(opinions, idx, model: ModelSpec) -> Scalar:
+def _updated_value(index: OpinionIndex, idx, model: ModelSpec) -> Scalar:
+    opinions = index.opinions
     if model.kind == "knn":
-        return knn_updated_value(opinions, idx, model.k)
+        return mean_of([opinions[j] for j in index.knn(idx, model.k)])
     return abc_updated_value(opinions, idx, model.d)
 
 
-def _is_exact_equilibrium(opinions, model: ModelSpec) -> bool:
+def _is_exact_equilibrium(index: OpinionIndex, model: ModelSpec) -> bool:
+    opinions = index.opinions
     return all(
-        _updated_value(opinions, idx, model) == opinions[idx]
+        _updated_value(index, idx, model) == opinions[idx]
         for idx in range(len(opinions))
     )
 
 
-def _max_probe_move(opinions, model: ModelSpec, ceiling: float) -> float:
+def _max_probe_move(index: OpinionIndex, model: ModelSpec, ceiling: float) -> float:
     """Largest single-agent update displacement; bails out early once any
     probe reaches the ceiling."""
+    opinions = index.opinions
     worst = 0.0
     for idx in range(len(opinions)):
-        move = abs(_updated_value(opinions, idx, model) - opinions[idx])
+        move = abs(_updated_value(index, idx, model) - opinions[idx])
         if move > worst:
             worst = move
             if worst >= ceiling:
@@ -117,7 +121,7 @@ def _max_probe_move(opinions, model: ModelSpec, ceiling: float) -> float:
     return worst
 
 
-def _float_converged(opinions, model: ModelSpec, tol: float) -> bool:
+def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
     """Two-stage stop rule for float runs.
 
     Limits are approached asymptotically, so a bare probe test cannot tell a
@@ -128,9 +132,10 @@ def _float_converged(opinions, model: ModelSpec, tol: float) -> bool:
     roundoff, the signature of a genuine non-clustered equilibrium rather
     than a state still drifting toward a cluster merge.
     """
-    move = _max_probe_move(opinions, model, tol)
+    move = _max_probe_move(index, model, tol)
     if move >= tol:
         return False
+    opinions = index.opinions
     groups = single_linkage_groups(opinions, tol)
     spreads_ok = all(
         max(opinions[j] for j in g) - min(opinions[j] for j in g) < tol
@@ -186,11 +191,14 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
         ShrinkSchedule(spec.model.k).steps if spec.schedule.kind == "shrink" else None
     )
 
+    # k-NN neighbours, the probe and the envelope all read the sorted index;
+    # positions shift on add/remove, so events rebuild it
+    index = OpinionIndex(opinions)
     record = TrajectoryRecord(name=spec.name, backend=backend)
     record.recorded_steps.append(0)
     record.snapshots.append((tuple(ids), tuple(opinions)))
-    record.mins.append(min(opinions))
-    record.maxs.append(max(opinions))
+    record.mins.append(index.min())
+    record.maxs.append(index.max())
 
     t = 0
     while True:
@@ -199,13 +207,14 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             _apply_event(event, ids, opinions, next_id, backend, rng_events, record)
             if event.kind == "add":
                 next_id += 1
+            index = OpinionIndex(opinions)
 
         if t >= last_event_step and _check_due(t, len(ids)):
             if backend == EXACT:
-                if _is_exact_equilibrium(opinions, spec.model):
+                if _is_exact_equilibrium(index, spec.model):
                     record.stop_reason = STOP_EQUILIBRIUM
                     break
-            elif _float_converged(opinions, spec.model, spec.tol):
+            elif _float_converged(index, spec.model, spec.tol):
                 record.stop_reason = STOP_CONVERGED
                 break
 
@@ -220,10 +229,10 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.stop_reason = STOP_SCHEDULE_EXHAUSTED
             break
 
-        opinions[updater_idx] = _updated_value(opinions, updater_idx, spec.model)
+        index.move(updater_idx, _updated_value(index, updater_idx, spec.model))
         record.updaters.append(ids[updater_idx])
-        record.mins.append(min(opinions))
-        record.maxs.append(max(opinions))
+        record.mins.append(index.min())
+        record.maxs.append(index.max())
         t += 1
         if t % spec.record_every == 0:
             record.recorded_steps.append(t)

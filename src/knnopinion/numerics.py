@@ -15,6 +15,7 @@ A configuration never mixes the two backends.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -108,19 +109,27 @@ def abs_diff(a: Scalar, b: Scalar) -> Scalar:
 def parse_scalar(raw) -> Scalar:
     """Parse a scalar from a JSON value.
 
-    "p/q" strings and ints are exact; JSON floats are float-backend.
+    "p/q" strings and ints are exact; JSON floats are float-backend. Python's
+    json reads NaN and Infinity, so non-finite floats are rejected here, as
+    are malformed strings and zero denominators (ValueError).
     """
+    if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ValueError(f"{raw!r} is not a finite number")
+        return raw
     if isinstance(raw, str):
-        if "/" in raw:
-            num, den = raw.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(raw.strip()))
+        num, sep, den = raw.partition("/")
+        try:
+            p, q = int(num), int(den) if sep else 1
+        except ValueError:
+            raise ValueError(f"{raw!r} is not an integer or 'p/q' rational") from None
+        if q == 0:
+            raise ValueError(f"{raw!r} has a zero denominator")
+        return Fraction(p, q)
     if isinstance(raw, bool):
         raise BackendError("bool is not a scalar opinion")
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, float):
-        return raw
     raise BackendError(f"cannot parse scalar from {raw!r}")
 
 

@@ -33,10 +33,12 @@ remove {step, agent}.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .numerics import format_scalar, parse_scalar
+from .numerics import BackendError, format_scalar, parse_scalar
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_TOL = 1e-9
@@ -161,6 +163,34 @@ def _require(cond, field_name, message):
         raise ScenarioError(f"{field_name}: {message}")
 
 
+def parse_scalar_field(raw, field_name):
+    """parse_scalar, with any rejection reported against field_name."""
+    try:
+        return parse_scalar(raw)
+    except (ValueError, BackendError) as exc:
+        raise ScenarioError(f"{field_name}: {exc}") from None
+
+
+def parse_scalar_list(values, field_name) -> tuple:
+    """parse_scalar over a list; a rejection names field_name[index]."""
+    out = []
+    try:
+        for v in values:
+            out.append(parse_scalar(v))
+    except (ValueError, BackendError) as exc:
+        raise ScenarioError(f"{field_name}[{len(out)}]: {exc}") from None
+    return tuple(out)
+
+
+def _finite_float(raw, field_name) -> float:
+    """A JSON number as a float. Python's json also reads NaN, Infinity and
+    ints too large for a float; all three are rejected."""
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    _require(number and abs(raw) <= sys.float_info.max, field_name,
+             "must be a finite number")
+    return float(raw)
+
+
 def _parse_model(raw) -> ModelSpec:
     _require(isinstance(raw, dict), "model", "must be an object")
     kind = raw.get("kind")
@@ -171,7 +201,7 @@ def _parse_model(raw) -> ModelSpec:
     if kind == "abc":
         d = raw.get("d")
         _require(d is not None, "model.d", "is required for the abc model")
-        d = parse_scalar(d)
+        d = parse_scalar_field(d, "model.d")
         _require(d >= 0, "model.d", "must be >= 0")
         return ModelSpec(kind="abc", d=d)
     raise ScenarioError("model.kind: must be 'knn' or 'abc'")
@@ -184,22 +214,25 @@ def _parse_initial(raw) -> InitialSpec:
         n = raw.get("n")
         _require(isinstance(n, int) and n >= 1, "initial.n", "must be a positive integer")
         _require("seed" in raw, "initial.seed", "is required")
-        return InitialSpec(kind=kind, n=n, low=float(raw.get("low", 0.0)),
-                           high=float(raw.get("high", 1.0)), seed=raw["seed"])
+        return InitialSpec(kind=kind, n=n,
+                           low=_finite_float(raw.get("low", 0.0), "initial.low"),
+                           high=_finite_float(raw.get("high", 1.0), "initial.high"),
+                           seed=raw["seed"])
     if kind == "explicit":
         ops = raw.get("opinions")
         _require(isinstance(ops, list) and ops, "initial.opinions", "must be a non-empty list")
-        return InitialSpec(kind=kind, opinions=tuple(parse_scalar(v) for v in ops))
+        return InitialSpec(kind=kind, opinions=parse_scalar_list(ops, "initial.opinions"))
     if kind == "clusters":
         groups = raw.get("groups")
         _require(isinstance(groups, list) and groups, "initial.groups", "must be a non-empty list")
         parsed = []
-        for g in groups:
+        for i, g in enumerate(groups):
             _require(isinstance(g, dict) and "opinion" in g and "size" in g,
                      "initial.groups", "entries need opinion and size")
             _require(isinstance(g["size"], int) and g["size"] >= 1,
                      "initial.groups.size", "must be a positive integer")
-            parsed.append((parse_scalar(g["opinion"]), g["size"]))
+            parsed.append((parse_scalar_field(g["opinion"], f"initial.groups[{i}].opinion"),
+                           g["size"]))
         return InitialSpec(kind=kind, groups=tuple(parsed))
     raise ScenarioError("initial.kind: must be uniform_random, explicit or clusters")
 
@@ -234,10 +267,11 @@ def _parse_event(raw, pos) -> EventSpec:
         if isinstance(op, dict):
             _require(op.get("kind") == "uniform_random", f"{where}.opinion.kind",
                      "must be uniform_random")
-            opinion = ("uniform_random", float(op.get("low", 0.0)),
-                       float(op.get("high", 1.0)))
+            opinion = ("uniform_random",
+                       _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
+                       _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
         else:
-            opinion = parse_scalar(op)
+            opinion = parse_scalar_field(op, f"{where}.opinion")
         return EventSpec(kind="add", step=step, opinion=opinion)
     if kind == "remove":
         agent = raw.get("agent")
@@ -261,8 +295,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     max_steps = raw.get("max_steps", DEFAULT_MAX_STEPS)
     _require(isinstance(max_steps, int) and max_steps >= 0, "max_steps",
              "must be a nonnegative integer")
-    tol = raw.get("tol", DEFAULT_TOL)
-    _require(isinstance(tol, (int, float)) and tol > 0, "tol", "must be positive")
+    tol = _finite_float(raw.get("tol", DEFAULT_TOL), "tol")
     record_every = raw.get("record_every", 1)
     _require(isinstance(record_every, int) and record_every >= 1, "record_every",
              "must be a positive integer")
@@ -270,7 +303,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     spec = ScenarioSpec(
         model=model, initial=initial, schedule=schedule, events=events,
         event_seed=raw.get("event_seed", 0), max_steps=max_steps,
-        tol=float(tol), record_every=record_every,
+        tol=tol, record_every=record_every,
         name=raw.get("name", "scenario"),
     )
     validate_scenario(spec)
@@ -291,6 +324,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     every point of the event timeline, and removal ids that exist when the
     event fires. Added agents get ids n+1, n+2, ... in event order; ids are
     never reused within a run."""
+    _require(math.isfinite(spec.tol) and spec.tol > 0, "tol",
+             "must be a finite positive number")
     n0 = spec.initial.size()
     if spec.model.kind == "knn":
         _require(spec.model.k <= n0, "model.k",

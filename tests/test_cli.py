@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from knnopinion.cli import EXIT_OK, EXIT_USAGE, main
 from knnopinion.export import CSV_HEADER, trajectory_to_csv
 from knnopinion.harness import simulate
@@ -169,3 +171,71 @@ def test_sweep_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["total"] == 3
     assert sum(payload["classifications"].values()) == 3
+
+
+NAN, INF = float("nan"), float("inf")
+ADD_EVENT = {"kind": "add", "step": 1}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"initial": {"kind": "explicit", "opinions": [0.1, NAN, 0.3]}}, "initial.opinions[1]"),
+    ({"initial": {"kind": "explicit", "opinions": [0.1, 0.2, INF]}}, "initial.opinions[2]"),
+    ({"initial": {"kind": "explicit", "opinions": ["1/0", "1/2", "1/3"]}},
+     "initial.opinions[0]"),
+    ({"initial": {"kind": "explicit", "opinions": ["0/1", "1.5/2", "1/3"]}},
+     "initial.opinions[1]"),
+    ({"initial": {"kind": "explicit", "opinions": ["0/1", "1/x", "1/3"]}},
+     "initial.opinions[1]"),
+    ({"initial": {"kind": "clusters", "groups": [{"opinion": "2/0", "size": 3}]}},
+     "initial.groups[0].opinion"),
+    ({"initial": {"kind": "uniform_random", "n": 8, "low": -INF, "high": 1.0, "seed": 1}},
+     "initial.low"),
+    ({"initial": {"kind": "uniform_random", "n": 8, "low": 0.0, "high": NAN, "seed": 1}},
+     "initial.high"),
+    ({"tol": INF}, "tol"),
+    ({"tol": NAN}, "tol"),
+    ({"tol": 10 ** 400}, "tol"),
+    ({"model": {"kind": "abc", "d": NAN}}, "model.d"),
+    ({"model": {"kind": "abc", "d": "1/0"}}, "model.d"),
+    ({"events": [dict(ADD_EVENT, opinion=INF)]}, "events[0].opinion"),
+    ({"events": [dict(ADD_EVENT, opinion="3/0")]}, "events[0].opinion"),
+    ({"events": [dict(ADD_EVENT, opinion={"kind": "uniform_random", "high": NAN})]},
+     "events[0].opinion.high"),
+])
+def test_simulate_rejects_bad_scalars_with_field_name(tmp_path, capsys, change, field):
+    spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_non_finite_tol_override(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "s.json", SCENARIO)
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x"),
+                 "--tol", "nan"])
+    assert code == EXIT_USAGE
+    assert "error: tol:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, field", [
+    ([0.1, NAN, 0.9], "opinions[1]"),
+    ({"opinions": [0.1, 0.5, -INF]}, "opinions[2]"),
+    ({"opinions": ["1/2", "1/0"]}, "opinions[1]"),
+    ({"groups": [{"opinion": "0/1", "size": 2}, {"opinion": "a/2", "size": 2}]},
+     "groups[1].opinion"),
+])
+def test_classify_rejects_bad_scalars_with_field_name(tmp_path, capsys, document, field):
+    config = write_json(tmp_path / "c.json", document)
+    assert main(["classify", "--config", config, "--k", "1"]) == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_robustness_names_bad_base_opinion(tmp_path, capsys):
+    spec = write_json(tmp_path / "r.json", {
+        "base": {"groups": [{"opinion": "1/0", "size": 6}]},
+        "k": 5,
+        "remove": 1,
+    })
+    assert main(["robustness", "remove", "--spec", spec]) == EXIT_USAGE
+    assert "error: base.groups[0].opinion:" in capsys.readouterr().err

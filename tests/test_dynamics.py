@@ -1,14 +1,20 @@
 from fractions import Fraction
 from itertools import combinations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnopinion.dynamics import (
     Configuration,
+    OpinionIndex,
     ParameterError,
     abc_update,
     diameter,
     interaction_graph,
+    knn_indices,
     knn_neighbors,
     knn_update,
 )
@@ -157,3 +163,73 @@ def test_parameter_errors():
         knn_neighbors(x, 5, 1)
     with pytest.raises(ParameterError):
         Configuration([])
+
+
+# Differential tests of the sorted opinion index against the sort-based
+# knn_indices oracle: same neighbours, in the same order, for every agent and
+# every k, on inputs built to stress the window search.
+
+def assert_index_matches_oracle(index, opinions):
+    assert index.opinions is opinions
+    assert index.pairs == sorted(zip(opinions, range(len(opinions))))
+    for got, want in ((index.min(), min(opinions)), (index.max(), max(opinions))):
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+    for idx in range(len(opinions)):
+        for k in range(1, len(opinions) + 1):
+            assert index.knn(idx, k) == knn_indices(opinions, idx, k)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+TIED = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** -1074])
+# from x = 1.0 the distances to 0, 2**-61 and 2**-60 all round to 1.0, and
+# 1 + 2**-52 and 1 - 2**-53 sit one ulp away on either side
+COLLAPSED = st.sampled_from([1.0, 0.0, 2.0 ** -61, 2.0 ** -60, 2.0,
+                             1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 3.0 * 2.0 ** -61])
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+VALUES = st.one_of(FLOATS, TIED, SIGNED_ZEROS, COLLAPSED)
+
+
+@settings(max_examples=150)
+@given(st.one_of(
+    st.lists(FLOATS, min_size=1, max_size=10),
+    st.lists(TIED, min_size=1, max_size=12),
+    st.lists(SIGNED_ZEROS, min_size=1, max_size=12),
+    st.lists(COLLAPSED, min_size=1, max_size=12),
+    st.lists(FRACTIONS, min_size=1, max_size=10),
+))
+def test_index_knn_matches_sort_oracle(opinions):
+    assert_index_matches_oracle(OpinionIndex(opinions), opinions)
+
+
+def test_index_collapsed_distances_tie_on_id():
+    # all three distances from 1.0 round to exactly 1.0, so ids decide
+    opinions = [2.0 ** -60, 1.0, 0.0, 2.0 ** -61]
+    assert {abs(v - 1.0) for v in opinions if v != 1.0} == {1.0}
+    index = OpinionIndex(opinions)
+    assert index.knn(1, 3) == knn_indices(opinions, 1, 3) == [1, 0, 2]
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(st.lists(VALUES, min_size=1, max_size=8),
+              st.lists(FRACTIONS, min_size=1, max_size=8)),
+    st.lists(st.tuples(st.sampled_from(["move", "move", "add", "remove"]),
+                       st.integers(0, 7), st.integers(0, 7)), max_size=12),
+)
+def test_index_survives_moves_and_rebuilds(opinions, ops):
+    # a new value copies an opinion already present (keeping ties) or is the
+    # midpoint of two, so every state stays within one backend
+    index = OpinionIndex(opinions)
+    for op, a, b in ops:
+        u, v = opinions[a % len(opinions)], opinions[b % len(opinions)]
+        value = v if a % 2 else u / 2 + v / 2
+        if op == "move":
+            index.move(a % len(opinions), value)
+        elif op == "add":
+            opinions.append(value)
+            index = OpinionIndex(opinions)
+        elif len(opinions) > 1:
+            del opinions[a % len(opinions)]
+            index = OpinionIndex(opinions)
+        assert_index_matches_oracle(index, opinions)

@@ -75,3 +75,10 @@ def test_mean_of_copies_is_identity(values, copies):
 def test_float_mean_stays_in_hull(values):
     m = mean_of(values)
     assert min(values) <= m <= max(values)
+
+
+@pytest.mark.parametrize("raw", ["1/0", "5/", "1.5/2", "a/3", "1/2/3", "",
+                                 float("nan"), float("inf"), float("-inf")])
+def test_parse_scalar_rejects_malformed_and_non_finite(raw):
+    with pytest.raises(ValueError):
+        parse_scalar(raw)
