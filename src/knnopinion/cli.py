@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,16 +24,16 @@ from .equilibria import (
 )
 from .export import write_run_outputs
 from .harness import (
+    CLASS_CLUSTERED,
     CLASS_NON_CLUSTERED,
     STOP_CONVERGED,
-    STOP_EQUILIBRIUM,
     classify_opinions,
     robustness_addition,
     robustness_removal,
     batch_sweep,
     simulate,
 )
-from .numerics import EXACT, BackendError, format_scalar
+from .numerics import EXACT, BackendError
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -41,9 +42,12 @@ from .scenario import (
     ScenarioError,
     ScenarioSpec,
     ScheduleSpec,
+    _finite_float,
+    _require,
     load_scenario,
+    parse_add_event,
+    parse_initial,
     parse_scalar_field,
-    parse_scalar_list,
     parse_scenario,
 )
 from .verification import run_suite
@@ -62,23 +66,17 @@ def _load_json(path):
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
-def _config_from_raw(raw, where="") -> Configuration:
-    """`where` prefixes the field names in error messages ("base." for the
-    base configuration of a robustness document)."""
-    if isinstance(raw, dict) and "groups" in raw:
-        opinions = []
-        for i, g in enumerate(raw["groups"]):
-            value = parse_scalar_field(g["opinion"], f"{where}groups[{i}].opinion")
-            opinions.extend([value] * int(g["size"]))
-        return Configuration(opinions)
-    if isinstance(raw, dict) and "opinions" in raw:
-        raw = raw["opinions"]
-    if not isinstance(raw, list):
-        raise ScenarioError(
-            "configuration file must hold a JSON array or an object "
-            "with 'opinions' or 'groups'"
-        )
-    return Configuration(parse_scalar_list(raw, f"{where}opinions"))
+def _load_configuration(raw, where="") -> Configuration:
+    """A JSON array of opinions, or an object with `opinions` or `groups`,
+    parsed as an explicit or clusters initial state; `where` prefixes the
+    field names in error messages ("base." for a robustness base)."""
+    if isinstance(raw, list):
+        raw = {"opinions": raw}
+    _require(isinstance(raw, dict) and ("opinions" in raw or "groups" in raw),
+             where[:-1] or "configuration",
+             "must be a JSON array or an object with 'opinions' or 'groups'")
+    kind = "clusters" if "groups" in raw else "explicit"
+    return Configuration(parse_initial(dict(raw, kind=kind), where).fixed_opinions())
 
 
 def _write_json(payload, path):
@@ -112,7 +110,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_raw(_load_json(args.config))
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ParameterError("--tol: must be a finite positive number")
+    config = _load_configuration(_load_json(args.config))
     if not 1 <= args.k <= config.n:
         raise ParameterError(f"k={args.k} violates 1 <= k <= n={config.n}")
     if config.backend == EXACT:
@@ -143,42 +143,54 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _parse_additions(raw_additions, seed):
+    _require(isinstance(raw_additions, list), "additions", "must be a list")
     rng = SeededRng(seed).derive("additions")
     additions = []
-    for entry in raw_additions:
-        op = entry["opinion"]
-        if isinstance(op, dict):
-            if op.get("kind") != "uniform_random":
-                raise ScenarioError("additions.opinion.kind must be uniform_random")
-            value = rng.uniform(float(op.get("low", 0.0)), float(op.get("high", 1.0)))
-        else:
-            value = float(parse_scalar_field(op, f"additions[{len(additions)}].opinion"))
-        additions.append((int(entry["step"]), value))
+    for i, entry in enumerate(raw_additions):
+        event = parse_add_event(entry, f"additions[{i}]")
+        value = event.opinion
+        if isinstance(value, tuple):   # ("uniform_random", low, high)
+            value = rng.uniform(value[1], value[2])
+        additions.append((event.step, float(value)))
     return additions
+
+
+def _count(raw, name, default, least):
+    value = raw.get(name, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+             name, f"must be an integer >= {least}")
+    return value
 
 
 def cmd_robustness(args) -> int:
     raw = _load_json(args.spec)
-    base = _config_from_raw(raw["base"], "base.")
-    k = int(raw["k"])
+    _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
+    _require("base" in raw, "base", "is required")
+    base = _load_configuration(raw["base"], "base.")
+    k = _count(raw, "k", None, 1)
     abc_d = raw.get("abc_d")
+    if abc_d is not None:
+        abc_d = parse_scalar_field(abc_d, "abc_d")
+        _require(abc_d >= 0, "abc_d", "must be >= 0")
+    max_steps = _count(raw, "max_steps", 10**5, 0)
+    tol = _finite_float(raw.get("tol", 1e-12 if args.mode == "add" else 1e-9), "tol")
+    _require(tol > 0, "tol", "must be positive")
     if args.mode == "add":
         additions = _parse_additions(raw.get("additions", []),
                                      raw.get("addition_seed", 0))
         report = robustness_addition(
             base, k, additions,
             schedule_seed=raw.get("schedule_seed", 0),
-            abc_d=abc_d,
-            max_steps=int(raw.get("max_steps", 10**5)),
-            tol=float(raw.get("tol", 1e-12)),
+            abc_d=abc_d, max_steps=max_steps, tol=tol,
         )
     else:
+        remove = _count(raw, "remove", None, 1)
+        _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
         report = robustness_removal(
-            base, k, int(raw["remove"]),
+            base, k, remove,
             abc_d=abc_d,
             schedule_seed=raw.get("schedule_seed", 0),
-            max_steps=int(raw.get("max_steps", 10**5)),
-            tol=float(raw.get("tol", 1e-9)),
+            max_steps=max_steps, tol=tol,
         )
     _write_json(report.to_jsonable(), args.out)
     return EXIT_OK
@@ -209,34 +221,28 @@ def cmd_figures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     notes = {}
 
-    # Figure A: a typical clustered limit at n=20, k=5. Seeds are scanned
-    # until a converged multi-group clustered run appears.
-    fig1_spec = None
-    fig1_record = None
+    # Figures A and B: the first converged clustered and the first converged
+    # non-clustered limit at n=20, k=5, found in one scan over the seeds.
+    found = {}   # classification -> (seed, spec, record)
     for seed in range(args.seed_range):
         spec = _figure_spec_clustered(seed, args.max_steps)
         record = simulate(spec)
-        if record.stop_reason == STOP_CONVERGED and record.classification == "clustered":
-            fig1_spec, fig1_record = spec, record
-            notes["clustered_seed"] = seed
-            break
-    if fig1_record is None:
+        if record.stop_reason == STOP_CONVERGED:
+            found.setdefault(record.classification, (seed, spec, record))
+            if CLASS_CLUSTERED in found and CLASS_NON_CLUSTERED in found:
+                break
+    if CLASS_CLUSTERED not in found:
         raise ScenarioError(
             f"no clustered run found in seeds 0..{args.seed_range - 1}"
         )
+    notes["clustered_seed"], fig1_spec, fig1_record = found[CLASS_CLUSTERED]
     _emit_figure(args.out, "fig_clustered", fig1_spec, fig1_record)
 
-    # Figure B: a non-clustered limit, found by seed search; if the search
-    # range has none, the exact 20-agent construction stands in.
-    fig2_spec = fig2_record = None
-    for seed in range(args.seed_range):
-        spec = _figure_spec_clustered(seed, args.max_steps)
-        record = simulate(spec)
-        if record.stop_reason == STOP_CONVERGED and record.classification == CLASS_NON_CLUSTERED:
-            fig2_spec, fig2_record = spec, record
-            notes["non_clustered_seed"] = seed
-            break
-    if fig2_record is None:
+    # If the seed range has no non-clustered limit, the exact 20-agent
+    # construction stands in for figure B.
+    if CLASS_NON_CLUSTERED in found:
+        notes["non_clustered_seed"], fig2_spec, fig2_record = found[CLASS_NON_CLUSTERED]
+    else:
         notes["non_clustered_seed"] = None
         notes["non_clustered_fallback"] = (
             "no non-clustered limit found in the seed range; "

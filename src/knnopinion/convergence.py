@@ -243,71 +243,25 @@ def verify_lemma3_contraction(
 
 
 def verify_lemma_bigm(config: Configuration, k: int, steps: int) -> VerifierReport:
-    """Mirror-image checks under the all-M schedule, exercised through the
-    reflection identity big_m(x) = mu(-x), then cross-checked by running
-    the M schedule directly."""
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
-
-    # Direct run under I(t) = M(x(t)).
-    members0 = set(knn_neighbors(config, big_m_index(config), k).members)
-    z0 = min(config.opinion(j) for j in members0)
-    state = config
-    direct_states = [state]
-    for t in range(steps):
-        big_m = big_m_index(state)
-        members = set(knn_neighbors(state, big_m, k).members)
-        if members != members0:
-            return VerifierReport(
-                name="big_m_mirror", passed=False,
-                detail={"step": t, "reason": "neighbor set of the maximal agent changed"},
-            )
-        z = min(state.opinion(j) for j in members)
-        if z != z0:
-            return VerifierReport(
-                name="big_m_mirror", passed=False,
-                detail={"step": t, "reason": "z changed"},
-            )
-        nxt = knn_update(state, big_m, k)
-        for j in config.agents():
-            if j in members0:
-                if nxt.opinion(j) > state.opinion(j) or nxt.opinion(j) < z0:
-                    return VerifierReport(
-                        name="big_m_mirror", passed=False,
-                        detail={"step": t, "reason": f"member {j} violated monotone bound"},
-                    )
-            elif nxt.opinion(j) != state.opinion(j):
-                return VerifierReport(
-                    name="big_m_mirror", passed=False,
-                    detail={"step": t, "reason": f"non-member {j} moved"},
-                )
-        state = nxt
-        direct_states.append(state)
-
-    # Reflection cross-check: M schedule on x == negated mu schedule on -x.
+    """Mirror-image checks under the all-M schedule. Reflection x -> -x keeps
+    every distance and the id tie-break, so big_m(x) = mu(-x), neighbor sets
+    agree, and the mu-side checks on -x are the M-side checks on x. The M
+    schedule run directly on x is cross-checked against the negated mu
+    schedule on -x."""
     mirror = reflect(config)
-    for t, direct in enumerate(direct_states):
-        if reflect(mirror) != direct:
+    for report in (verify_lemma2_monotonicity(mirror, k, steps),
+                   verify_lemma3_contraction(mirror, k)):
+        if not report.passed:
+            return VerifierReport(name="big_m_mirror", passed=False,
+                                  detail={"check_on_reflection": report.name, **report.detail})
+    direct = run_schedule_tags(config, k, [BIG_M] * steps).states
+    mirrored = run_schedule_tags(mirror, k, [MU] * steps).states
+    for t, (state, image) in enumerate(zip(direct, mirrored)):
+        if reflect(image) != state:
             return VerifierReport(
                 name="big_m_mirror", passed=False,
                 detail={"step": t, "reason": "reflection identity broken"},
             )
-        if t < steps:
-            mirror = knn_update(mirror, mu_index(mirror), k)
-
-    # Contraction on the max side after k-1 steps.
-    state = config
-    for _ in range(k - 1):
-        state = knn_update(state, big_m_index(state), k)
-    z_end = min(state.opinion(j) for j in knn_neighbors(state, big_m_index(state), k).members)
-    lhs = max(state.opinions) - z_end
-    rhs = (1 - Fraction(1, k)) * (max(config.opinions) - z0)
-    if lhs > rhs:
-        return VerifierReport(
-            name="big_m_mirror", passed=False,
-            detail={"reason": "max-side contraction failed",
-                    "lhs": str(lhs), "rhs": str(rhs)},
-        )
     return VerifierReport(name="big_m_mirror", passed=True, detail={"steps": steps})
 
 

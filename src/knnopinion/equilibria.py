@@ -9,9 +9,9 @@ Monte Carlo runs go through quantize_clusters instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .dynamics import Configuration, ParameterError, knn_neighbors, knn_update
 from .numerics import EXACT, FLOAT, BackendError, Scalar, mean_of
@@ -85,6 +85,17 @@ def partition_clusters(config: Configuration) -> ClusterPartition:
     return ClusterPartition(groups=groups)
 
 
+def _first_mixed_neighborhood(config: Configuration, k: int):
+    """(agent, neighbor ids) of the first agent whose neighbor set holds
+    another opinion than its own; None when the configuration is clustered."""
+    for i in config.agents():
+        xi = config.opinion(i)
+        members = knn_neighbors(config, i, k).members
+        if any(config.opinion(j) != xi for j in members):
+            return i, members
+    return None
+
+
 def is_clustered(config: Configuration, k: int) -> bool:
     """True iff every agent's neighbor set is homogeneous at its own opinion.
 
@@ -93,12 +104,7 @@ def is_clustered(config: Configuration, k: int) -> bool:
     would be an implementation bug and raises.
     """
     _require_exact(config, "is_clustered")
-    by_definition = True
-    for i in config.agents():
-        xi = config.opinion(i)
-        if any(config.opinion(j) != xi for j in knn_neighbors(config, i, k).members):
-            by_definition = False
-            break
+    by_definition = _first_mixed_neighborhood(config, k) is None
     by_sizes = partition_clusters(config).min_size() >= k
     if by_definition != by_sizes:
         raise RuntimeError(
@@ -121,14 +127,9 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
             }
             break
 
-    clustered = True
-    for i in config.agents():
-        xi = config.opinion(i)
-        members = knn_neighbors(config, i, k).members
-        if any(config.opinion(j) != xi for j in members):
-            clustered = False
-            witnesses["clustered"] = {"agent": i, "neighbors": list(members)}
-            break
+    mixed = _first_mixed_neighborhood(config, k)
+    if mixed is not None:
+        witnesses["clustered"] = {"agent": mixed[0], "neighbors": list(mixed[1])}
 
     first = config.opinion(1)
     consensus = all(config.opinion(i) == first for i in config.agents())
@@ -138,7 +139,7 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
 
     return EquilibriumReport(
         is_equilibrium=equilibrium,
-        is_clustered=clustered,
+        is_clustered=mixed is None,
         is_consensus=consensus,
         witnesses=witnesses,
     )
@@ -224,8 +225,8 @@ def quantize_clusters(config: Configuration, tolerance: Scalar = 1e-9) -> Cluste
     represented by its mean opinion. Default tolerance 1e-9 sits well above
     accumulated roundoff after ~1e5 averaging steps and well below the
     inter-cluster gaps seen at n=20 scale."""
-    if tolerance <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ParameterError("tolerance must be a finite positive number")
     if config.backend != FLOAT:
         raise BackendError("quantize_clusters is for float configurations")
     idx_groups = single_linkage_groups(config.opinions, tolerance)

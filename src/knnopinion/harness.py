@@ -14,18 +14,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .convergence import ShrinkSchedule, run_shrink_schedule
+from .convergence import ShrinkSchedule
 from .dynamics import (
     Configuration,
     OpinionIndex,
     ParameterError,
     abc_update,
     abc_updated_value,
-    knn_update,
-    knn_updated_value,
 )
 from .equilibria import is_clustered, is_equilibrium, partition_clusters, single_linkage_groups
-from .numerics import EXACT, FLOAT, Scalar, backend_of, mean_of
+from .numerics import EXACT, FLOAT, Scalar, mean_of
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -74,11 +72,7 @@ def _build_initial(spec: InitialSpec):
         rng = SeededRng(spec.seed).derive("init")
         opinions = [rng.uniform(spec.low, spec.high) for _ in range(spec.n)]
         return opinions, FLOAT
-    if spec.kind == "explicit":
-        config = Configuration(list(spec.opinions))
-        return list(config.opinions), config.backend
-    opinions = [op for op, size in spec.groups for _ in range(size)]
-    config = Configuration(opinions)
+    config = Configuration(spec.fixed_opinions())
     return list(config.opinions), config.backend
 
 
@@ -239,9 +233,15 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.snapshots.append((tuple(ids), tuple(opinions)))
 
     record.total_steps = t
+    final = (tuple(ids), tuple(opinions))
+    if t in events_by_step:
+        # the stop step's events fired after its state was recorded
+        record.mins[-1], record.maxs[-1] = index.min(), index.max()
+        if record.recorded_steps[-1] == t:
+            record.snapshots[-1] = final
     if record.recorded_steps[-1] != t:
         record.recorded_steps.append(t)
-        record.snapshots.append((tuple(ids), tuple(opinions)))
+        record.snapshots.append(final)
     record.final_ids = tuple(ids)
     record.final_opinions = tuple(opinions)
     if record.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
@@ -354,30 +354,29 @@ def monte_carlo_consensus(
         )
     hitting_times = []
     consensus_values = []
-    converged = 0
     hull_violations = 0
     for r in range(runs):
-        rng = SeededRng(seed).derive(f"mc:{r}")
-        opinions = [rng.uniform(0.0, 1.0) for _ in range(n)]
-        lo0, hi0 = min(opinions), max(opinions)
-        t = 0
-        while t < max_steps:
-            if max(opinions) - min(opinions) < tol:
-                break
-            idx = rng.randbelow(n)
-            opinions[idx] = knn_updated_value(opinions, idx, k)
-            t += 1
-        if max(opinions) - min(opinions) < tol:
-            converged += 1
-            hitting_times.append(t)
-            c = (min(opinions) + max(opinions)) / 2.0
+        run_seed = f"{seed}:mc:{r}"
+        rec = simulate(ScenarioSpec(
+            model=ModelSpec(kind="knn", k=k),
+            initial=InitialSpec(kind="uniform_random", n=n, seed=run_seed),
+            schedule=ScheduleSpec(kind="uniform_random", seed=run_seed),
+            max_steps=max_steps,
+            tol=tol,
+            record_every=max(max_steps, 1),
+            name="monte-carlo",
+        ))
+        # the envelope never widens, so the first diameter below tol is the
+        # hitting time even when the run itself stops later
+        hit = next((t for t, d in enumerate(rec.diameters) if d < tol), None)
+        hitting_times.append(hit)
+        if hit is not None:
+            c = (rec.mins[hit] + rec.maxs[hit]) / 2.0
             consensus_values.append(c)
-            if not lo0 <= c <= hi0:
+            if not rec.mins[0] <= c <= rec.maxs[0]:
                 hull_violations += 1
-        else:
-            hitting_times.append(None)
     return MonteCarloStats(
-        n=n, k=k, runs=runs, converged=converged,
+        n=n, k=k, runs=runs, converged=len(consensus_values),
         hitting_times=hitting_times, consensus_values=consensus_values,
         hull_violations=hull_violations, max_steps=max_steps, tol=tol,
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .numerics import BackendError, format_scalar, parse_scalar
@@ -76,6 +76,12 @@ class InitialSpec:
         if self.kind == "explicit":
             return len(self.opinions)
         return sum(size for _, size in self.groups)
+
+    def fixed_opinions(self) -> list:
+        """The opinions of an explicit or clusters state, in agent order."""
+        if self.kind == "explicit":
+            return list(self.opinions)
+        return [op for op, size in self.groups for _ in range(size)]
 
     def to_dict(self) -> dict:
         if self.kind == "uniform_random":
@@ -207,34 +213,36 @@ def _parse_model(raw) -> ModelSpec:
     raise ScenarioError("model.kind: must be 'knn' or 'abc'")
 
 
-def _parse_initial(raw) -> InitialSpec:
-    _require(isinstance(raw, dict), "initial", "must be an object")
+def parse_initial(raw, where="initial.") -> InitialSpec:
+    """An initial-state object; `where` prefixes every field name in error
+    messages ("base." for a robustness base, "" for a classify document)."""
+    _require(isinstance(raw, dict), where[:-1], "must be an object")
     kind = raw.get("kind")
     if kind == "uniform_random":
         n = raw.get("n")
-        _require(isinstance(n, int) and n >= 1, "initial.n", "must be a positive integer")
-        _require("seed" in raw, "initial.seed", "is required")
+        _require(isinstance(n, int) and n >= 1, f"{where}n", "must be a positive integer")
+        _require("seed" in raw, f"{where}seed", "is required")
         return InitialSpec(kind=kind, n=n,
-                           low=_finite_float(raw.get("low", 0.0), "initial.low"),
-                           high=_finite_float(raw.get("high", 1.0), "initial.high"),
+                           low=_finite_float(raw.get("low", 0.0), f"{where}low"),
+                           high=_finite_float(raw.get("high", 1.0), f"{where}high"),
                            seed=raw["seed"])
     if kind == "explicit":
         ops = raw.get("opinions")
-        _require(isinstance(ops, list) and ops, "initial.opinions", "must be a non-empty list")
-        return InitialSpec(kind=kind, opinions=parse_scalar_list(ops, "initial.opinions"))
+        _require(isinstance(ops, list) and ops, f"{where}opinions", "must be a non-empty list")
+        return InitialSpec(kind=kind, opinions=parse_scalar_list(ops, f"{where}opinions"))
     if kind == "clusters":
         groups = raw.get("groups")
-        _require(isinstance(groups, list) and groups, "initial.groups", "must be a non-empty list")
+        _require(isinstance(groups, list) and groups, f"{where}groups", "must be a non-empty list")
         parsed = []
         for i, g in enumerate(groups):
+            entry = f"{where}groups[{i}]"
             _require(isinstance(g, dict) and "opinion" in g and "size" in g,
-                     "initial.groups", "entries need opinion and size")
+                     entry, "needs opinion and size")
             _require(isinstance(g["size"], int) and g["size"] >= 1,
-                     "initial.groups.size", "must be a positive integer")
-            parsed.append((parse_scalar_field(g["opinion"], f"initial.groups[{i}].opinion"),
-                           g["size"]))
+                     f"{entry}.size", "must be a positive integer")
+            parsed.append((parse_scalar_field(g["opinion"], f"{entry}.opinion"), g["size"]))
         return InitialSpec(kind=kind, groups=tuple(parsed))
-    raise ScenarioError("initial.kind: must be uniform_random, explicit or clusters")
+    raise ScenarioError(f"{where}kind: must be uniform_random, explicit or clusters")
 
 
 def _parse_schedule(raw) -> ScheduleSpec:
@@ -254,25 +262,37 @@ def _parse_schedule(raw) -> ScheduleSpec:
     raise ScenarioError("schedule.kind: must be uniform_random, explicit or shrink")
 
 
-def _parse_event(raw, pos) -> EventSpec:
-    where = f"events[{pos}]"
+def _event_step(raw, where) -> int:
     _require(isinstance(raw, dict), where, "must be an object")
     step = raw.get("step")
     _require(isinstance(step, int) and step >= 0, f"{where}.step",
              "must be a nonnegative integer")
-    kind = raw.get("kind")
+    return step
+
+
+def parse_add_event(raw, where) -> EventSpec:
+    """An add event's `step` and `opinion` (a number, "p/q" or a
+    uniform_random descriptor); error messages name fields under `where`."""
+    step = _event_step(raw, where)
+    op = raw.get("opinion")
+    _require(op is not None, f"{where}.opinion", "is required")
+    if isinstance(op, dict):
+        _require(op.get("kind") == "uniform_random", f"{where}.opinion.kind",
+                 "must be uniform_random")
+        opinion = ("uniform_random",
+                   _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
+                   _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
+    else:
+        opinion = parse_scalar_field(op, f"{where}.opinion")
+    return EventSpec(kind="add", step=step, opinion=opinion)
+
+
+def _parse_event(raw, pos) -> EventSpec:
+    where = f"events[{pos}]"
+    kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind == "add":
-        op = raw.get("opinion")
-        _require(op is not None, f"{where}.opinion", "is required")
-        if isinstance(op, dict):
-            _require(op.get("kind") == "uniform_random", f"{where}.opinion.kind",
-                     "must be uniform_random")
-            opinion = ("uniform_random",
-                       _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
-                       _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
-        else:
-            opinion = parse_scalar_field(op, f"{where}.opinion")
-        return EventSpec(kind="add", step=step, opinion=opinion)
+        return parse_add_event(raw, where)
+    step = _event_step(raw, where)
     if kind == "remove":
         agent = raw.get("agent")
         _require(isinstance(agent, int) and agent >= 1, f"{where}.agent",
@@ -284,7 +304,7 @@ def _parse_event(raw, pos) -> EventSpec:
 def parse_scenario(raw: dict) -> ScenarioSpec:
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
     model = _parse_model(raw.get("model"))
-    initial = _parse_initial(raw.get("initial"))
+    initial = parse_initial(raw.get("initial"))
     schedule = _parse_schedule(raw.get("schedule"))
     events = tuple(_parse_event(e, i) for i, e in enumerate(raw.get("events", [])))
 
@@ -320,12 +340,15 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
-    """Static checks that need the whole document: the k <= n constraint at
-    every point of the event timeline, and removal ids that exist when the
-    event fires. Added agents get ids n+1, n+2, ... in event order; ids are
-    never reused within a run."""
+    """Static checks that need the whole document: value ranges, the k <= n
+    constraint at every point of the event timeline, event steps the run
+    reaches, and removal ids that exist when the event fires. Added agents
+    get ids n+1, n+2, ... in event order; ids are never reused within a run."""
     _require(math.isfinite(spec.tol) and spec.tol > 0, "tol",
              "must be a finite positive number")
+    if spec.initial.kind == "uniform_random":
+        _require(spec.initial.low <= spec.initial.high, "initial.low",
+                 "must not exceed initial.high")
     n0 = spec.initial.size()
     if spec.model.kind == "knn":
         _require(spec.model.k <= n0, "model.k",
@@ -337,7 +360,12 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     ids = set(range(1, n0 + 1))
     next_id = n0 + 1
     for pos, event in enumerate(spec.events):
+        _require(event.step <= spec.max_steps, f"events[{pos}].step",
+                 f"step {event.step} is past max_steps={spec.max_steps}; it would never fire")
         if event.kind == "add":
+            if isinstance(event.opinion, tuple):
+                _require(event.opinion[1] <= event.opinion[2], f"events[{pos}].opinion.low",
+                         "must not exceed opinion.high")
             ids.add(next_id)
             next_id += 1
         else:

@@ -239,3 +239,113 @@ def test_robustness_names_bad_base_opinion(tmp_path, capsys):
     })
     assert main(["robustness", "remove", "--spec", spec]) == EXIT_USAGE
     assert "error: base.groups[0].opinion:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_classify_rejects_bad_tol(tmp_path, capsys, tol):
+    config = write_json(tmp_path / "c.json", [0.1, 0.1, 0.9, 0.9])
+    code = main(["classify", "--config", config, "--k", "2", "--tol", tol])
+    assert code == EXIT_USAGE
+    assert "error: --tol:" in capsys.readouterr().err
+
+
+def test_classify_names_bad_group_size(tmp_path, capsys):
+    config = write_json(tmp_path / "c.json", {"groups": [{"opinion": "1/2", "size": "x"}]})
+    assert main(["classify", "--config", config, "--k", "1"]) == EXIT_USAGE
+    assert "error: groups[0].size:" in capsys.readouterr().err
+
+
+ROBUST_ADD = {
+    "base": {"groups": [{"opinion": "2/5", "size": 6}]},
+    "k": 5,
+    "schedule_seed": 3,
+    "additions": [{"step": 2, "opinion": 0.7}],
+    "max_steps": 2000,
+}
+ROBUST_REMOVE = {
+    "base": {"groups": [{"opinion": "0/1", "size": 6}, {"opinion": "1/1", "size": 5}]},
+    "k": 5,
+    "remove": 1,
+}
+
+
+@pytest.mark.parametrize("mode, document, field", [
+    ("remove", {key: v for key, v in ROBUST_REMOVE.items() if key != "remove"}, "remove"),
+    ("remove", dict(ROBUST_REMOVE, remove=12), "remove"),
+    ("remove", dict(ROBUST_REMOVE, remove="1"), "remove"),
+    ("remove", {key: v for key, v in ROBUST_REMOVE.items() if key != "base"}, "base"),
+    ("remove", dict(ROBUST_REMOVE, base=7), "base"),
+    ("remove", dict(ROBUST_REMOVE, k="5"), "k"),
+    ("remove", dict(ROBUST_REMOVE, max_steps=-1), "max_steps"),
+    ("remove", dict(ROBUST_REMOVE, tol=NAN), "tol"),
+    ("remove", dict(ROBUST_REMOVE, tol=0), "tol"),
+    ("remove", dict(ROBUST_REMOVE, abc_d="1/x"), "abc_d"),
+    ("remove", dict(ROBUST_REMOVE, abc_d=-0.5), "abc_d"),
+    ("add", {key: v for key, v in ROBUST_ADD.items() if key != "k"}, "k"),
+    ("add", dict(ROBUST_ADD, additions={"step": 2}), "additions"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": "2", "opinion": 0.7}]), "additions[0].step"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2}]), "additions[0].opinion"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": 0.7},
+                                        {"step": 3, "opinion": {"kind": "uniform_random",
+                                                                "high": INF}}]),
+     "additions[1].opinion.high"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "normal"}}]),
+     "additions[0].opinion.kind"),
+])
+def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
+    spec = write_json(tmp_path / "r.json", document)
+    assert main(["robustness", mode, "--spec", spec]) == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_robustness_accepts_rational_abc_d(tmp_path, capsys):
+    spec = write_json(tmp_path / "r.json", dict(ROBUST_ADD, abc_d="1/4"))
+    assert main(["robustness", "add", "--spec", spec]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["knn"]["originals_untouched"] is True
+    assert "abc" in payload
+
+
+UNIFORM_ADD = {"kind": "uniform_random", "low": 0.8, "high": 0.2}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"initial": {"kind": "uniform_random", "n": 8, "low": 1.0, "high": 0.0, "seed": 1}},
+     "initial.low"),
+    ({"events": [dict(ADD_EVENT, opinion=UNIFORM_ADD)]}, "events[0].opinion.low"),
+    ({"events": [dict(ADD_EVENT, opinion=0.5, step=20001)]}, "events[0].step"),
+    ({"events": [dict(ADD_EVENT, opinion=0.5), dict(ADD_EVENT, opinion=0.5)]}, "events"),
+])
+def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
+    spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_max_steps_override_before_an_event(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "s.json",
+                           dict(SCENARIO, events=[dict(ADD_EVENT, step=50, opinion=0.5)]))
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x"),
+                 "--max-steps", "49"])
+    assert code == EXIT_USAGE
+    assert "error: events[0].step:" in capsys.readouterr().err
+
+
+def test_simulate_meta_includes_an_add_on_the_stop_step(tmp_path):
+    spec_path = write_json(tmp_path / "s.json", {
+        "model": {"kind": "knn", "k": 2},
+        "initial": {"kind": "explicit", "opinions": [0.0, 0.5, 1.0]},
+        "schedule": {"kind": "uniform_random", "seed": 1},
+        "events": [{"kind": "add", "step": 5, "opinion": 9.0}],
+        "max_steps": 5,
+    })
+    assert main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x")]) == EXIT_OK
+    meta = json.loads((tmp_path / "x.meta.json").read_text())
+    finals = [float(v) for v in meta["final_opinions"]]
+    assert meta["final_ids"] == [1, 2, 3, 4]
+    assert float(meta["final_diameter"]) == max(finals) - min(finals)
+    last_rows = [row for row in (tmp_path / "x.csv").read_text().splitlines()
+                 if row.startswith("5,")]
+    assert [row.split(",")[1] for row in last_rows] == ["1", "2", "3", "4"]

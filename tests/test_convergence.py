@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnopinion.convergence import (
     ShrinkSchedule,
@@ -14,7 +16,7 @@ from knnopinion.convergence import (
     verify_lemma_bigm,
     verify_shrink_contraction,
 )
-from knnopinion.dynamics import Configuration, knn_update
+from knnopinion.dynamics import Configuration, knn_neighbors, knn_update
 from knnopinion.rng import SeededRng
 
 F = Fraction
@@ -41,6 +43,25 @@ def test_reflection_identity():
         mirrored = extremal_selection(reflect(x), k)
         assert sel.big_m == mirrored.mu
         assert sel.z == -mirrored.y
+
+
+# few distinct values, so exact ties in opinion and in distance are common
+TIED_FRACTIONS = st.lists(
+    st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(-1, 2), F(-1)]),
+    min_size=1, max_size=9,
+)
+
+
+@settings(max_examples=200)
+@given(TIED_FRACTIONS, st.data())
+def test_reflection_keeps_neighbors_and_commutes_with_update(opinions, data):
+    # verify_lemma_bigm rests on this: x -> -x keeps every distance and the
+    # id tie-break, so the M-side checks on x are the mu-side checks on -x
+    x = Configuration(opinions)
+    k = data.draw(st.integers(1, x.n))
+    for i in x.agents():
+        assert knn_neighbors(reflect(x), i, k) == knn_neighbors(x, i, k)
+        assert reflect(knn_update(x, i, k)) == knn_update(reflect(x), i, k)
 
 
 def test_z_le_y_small_regime():

@@ -177,6 +177,26 @@ def test_monte_carlo_two_agents():
     assert stats.hull_violations == 0
 
 
+def test_monte_carlo_hit_is_first_step_below_tol():
+    # each run is one simulate call on a k-NN spec seeded "<seed>:mc:<run>";
+    # rerunning it must give the first step whose diameter is below tol
+    n, k, tol, max_steps = 5, 3, 1e-9, 10**5
+    stats = monte_carlo_consensus(n, k, runs=4, seed="mc-check", max_steps=max_steps, tol=tol)
+    assert stats.all_converged and stats.hull_violations == 0
+    for r, hit in enumerate(stats.hitting_times):
+        run_seed = f"mc-check:mc:{r}"
+        rec = simulate(ScenarioSpec(
+            model=ModelSpec(kind="knn", k=k),
+            initial=InitialSpec(kind="uniform_random", n=n, seed=run_seed),
+            schedule=ScheduleSpec(kind="uniform_random", seed=run_seed),
+            max_steps=max_steps, tol=tol, record_every=max_steps,
+        ))
+        diameters = rec.diameters
+        assert hit > 0 and diameters[hit] < tol
+        assert all(d >= tol for d in diameters[:hit])
+        assert stats.consensus_values[r] == (rec.mins[hit] + rec.maxs[hit]) / 2
+
+
 def test_monte_carlo_guards_large_n():
     with pytest.raises(Exception):
         monte_carlo_consensus(10, 3, runs=1, seed=0)

@@ -1,0 +1,37 @@
+"""No module of the package imports a name it never uses.
+
+The project ships no linter, so this stdlib `ast` check stands in for one.
+`__init__.py` is exempt: its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import knnopinion
+
+PACKAGE = Path(knnopinion.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_check_sees_unused_and_used_names():
+    source = "import os, sys\nfrom a.b import c, d as e\nprint(sys.argv, e)\n"
+    assert unused_imports(source) == ["c", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []

@@ -124,6 +124,19 @@ SCENARIOS = {
     },
 }
 
+# not pinned, envelope only: the run stops on the step of an add event, so
+# the final snapshot and mins[-1]/maxs[-1] must include the added agent
+STOP_ON_EVENT = {
+    f"knn-float-add-on-stop-step-every{every}": {
+        "model": {"kind": "knn", "k": 2},
+        "initial": {"kind": "explicit", "opinions": [0.0, 0.5, 1.0]},
+        "schedule": {"kind": "uniform_random", "seed": 19},
+        "events": [{"kind": "add", "step": 5, "opinion": 9.0}],
+        "max_steps": 5, "record_every": every,
+    }
+    for every in (1, 2)
+}
+
 # scenario name -> (sha256 of <prefix>.csv, sha256 of <prefix>.meta.json)
 PINNED = {
     "abc-exact": (
@@ -182,7 +195,7 @@ PINNED = {
 
 
 def run_outputs(name, tmp_path):
-    spec = parse_scenario(dict(SCENARIOS[name], name=name))
+    spec = parse_scenario(dict({**SCENARIOS, **STOP_ON_EVENT}[name], name=name))
     record = simulate(spec)
     prefix = str(tmp_path / name)
     write_run_outputs(record, prefix, spec)
@@ -204,10 +217,12 @@ def test_simulate_output_is_pinned(name, tmp_path):
     assert digests == PINNED[name]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(STOP_ON_EVENT))
 def test_recorded_envelope_is_min_and_max_of_each_state(name, tmp_path):
     record, _ = run_outputs(name, tmp_path)
     assert len(record.mins) == len(record.maxs) == record.total_steps + 1
+    assert record.recorded_steps[-1] == record.total_steps
+    assert record.snapshots[-1] == (record.final_ids, record.final_opinions)
     for step, (_, opinions) in zip(record.recorded_steps, record.snapshots):
         assert same_scalar(record.mins[step], min(opinions))
         assert same_scalar(record.maxs[step], max(opinions))
