@@ -44,6 +44,7 @@ from .scenario import (
     ScheduleSpec,
     _finite_float,
     _require,
+    int_at_least,
     load_scenario,
     parse_add_event,
     parse_initial,
@@ -148,6 +149,9 @@ def _parse_additions(raw_additions, seed):
     additions = []
     for i, entry in enumerate(raw_additions):
         event = parse_add_event(entry, f"additions[{i}]")
+        # a run applies one event per step
+        _require(not additions or event.step > additions[-1][0], f"additions[{i}].step",
+                 "must be greater than the step of the addition before it")
         value = event.opinion
         if isinstance(value, tuple):   # ("uniform_random", low, high)
             value = rng.uniform(value[1], value[2])
@@ -157,8 +161,7 @@ def _parse_additions(raw_additions, seed):
 
 def _count(raw, name, default, least):
     value = raw.get(name, default)
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
-             name, f"must be an integer >= {least}")
+    _require(int_at_least(value, least), name, f"must be an integer >= {least}")
     return value
 
 

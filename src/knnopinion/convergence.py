@@ -21,7 +21,7 @@ from .dynamics import (
     knn_neighbors,
     knn_update,
 )
-from .numerics import Scalar
+from .numerics import EXACT, Scalar, common_numerators
 from .rng import SeededRng
 
 MU = "MU"
@@ -60,24 +60,35 @@ class VerifierReport:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+def _order_keys(config: Configuration):
+    """Per-agent keys that order like the opinions: the integer numerators
+    of an exact configuration, the floats themselves otherwise."""
+    if config.backend == EXACT:
+        return common_numerators(config.opinions)[0]
+    return config.opinions
+
+
 def mu_index(config: Configuration) -> int:
-    ops = config.opinions
-    lo = min(ops)
-    return ops.index(lo) + 1
+    keys = _order_keys(config)
+    return keys.index(min(keys)) + 1
 
 
 def big_m_index(config: Configuration) -> int:
-    ops = config.opinions
-    hi = max(ops)
-    return ops.index(hi) + 1
+    keys = _order_keys(config)
+    return keys.index(max(keys)) + 1
 
 
 def extremal_selection(config: Configuration, k: int) -> ExtremalSelection:
     _check_k(k, config.n)
     mu = mu_index(config)
     big_m = big_m_index(config)
-    y = max(config.opinion(j) for j in knn_neighbors(config, mu, k).members)
-    z = min(config.opinion(j) for j in knn_neighbors(config, big_m, k).members)
+    keys = _order_keys(config)
+
+    def key(j):
+        return keys[j - 1]
+
+    y = config.opinion(max(knn_neighbors(config, mu, k).members, key=key))
+    z = config.opinion(min(knn_neighbors(config, big_m, k).members, key=key))
     return ExtremalSelection(mu=mu, big_m=big_m, y=y, z=z)
 
 

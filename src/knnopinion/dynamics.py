@@ -9,9 +9,13 @@ agent may or may not survive into its own neighbor set.
 ABC rule: all agents within distance d, always including the agent itself.
 
 knn_indices is the literal rule: it sorts all n agents per call, and it is
-the oracle. OpinionIndex gives the same answer in O(log n + k) for a run
-that updates one agent at a time. It keeps the opinions sorted as (value,
-position) pairs. From the updater it grows a window outward, always taking
+the oracle. On exact opinions it sorts by (|N_j - N_i|, j) over the integer
+numerators N of numerics.common_numerators; scaling by the positive common
+denominator keeps every distance order and every exact tie.
+
+OpinionIndex gives the same answer in O(log n + k) for a run that updates
+one agent at a time. It keeps the opinions sorted as (value, position)
+pairs. From the updater it grows a window outward, always taking
 the nearer of the two next pairs, until the window holds k agents. Computed
 distances abs(v - x) never decrease going outward from x on either side,
 because rounding of x - v is monotone in v. So the window holds the k
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import Scalar, coerce_all, mean_of
+from .numerics import Scalar, coerce_all, common_numerators, mean_of
 
 
 class ParameterError(ValueError):
@@ -129,24 +133,17 @@ def _check_k(k: int, n: int) -> None:
 
 # Positional (0-based) primitives shared by the simulation hot loops.
 
-def _float_floor(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
-
-
 def knn_indices(opinions: Sequence[Scalar], idx: int, k: int) -> list:
     """0-based indices of the k nearest opinions to opinions[idx], ties to
     the lower index. The positional order must match the agent-id order."""
     xi = opinions[idx]
     n = len(opinions)
     if isinstance(xi, Fraction):
-        # rational comparisons are slow; float() is monotonic on rationals,
-        # so a float primary key orders almost everything and the exact key
-        # only breaks genuine float ties
-        dists = [abs(o - xi) for o in opinions]
-        order = sorted(range(n), key=lambda j: (_float_floor(dists[j]), dists[j], j))
+        nums, _ = common_numerators(opinions)
+        ni = nums[idx]
+        dists = [abs(m - ni) for m in nums]
+        # sorted() is stable, so equal distances stay in index order
+        order = sorted(range(n), key=dists.__getitem__)
     else:
         order = sorted(range(n), key=lambda j: (abs(opinions[j] - xi), j))
     return order[:k]

@@ -5,6 +5,13 @@ positive denominator, arbitrary-precision integers underneath (repeated
 division by k grows denominators like k**t, so fixed-width would overflow
 within tens of steps).
 
+Exact kernels (k-NN distances, means, extremal agents) do not add or
+compare Fractions one by one: common_numerators writes the values as
+integer numerators over their least common denominator D, and the kernel
+works on those ints. Scaling by a positive D keeps every order and every
+tie, so results are the same as with Fraction arithmetic, and a mean is
+one Fraction(sum, D * len) with a single gcd.
+
 Float backend: IEEE-754 binary64.
 
 IMPORTANT: float comparisons are exact binary comparisons, with NO epsilon.
@@ -77,6 +84,14 @@ def same_backend(a: Scalar, b: Scalar) -> str:
     return ba
 
 
+def common_numerators(values: Sequence) -> tuple[list, int]:
+    """Exact values (Fractions or ints) as integer numerators over their
+    least common denominator: ([p * (D // q) for p/q in values], D)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
+
+
 def mean_of(values: Sequence[Scalar]) -> Scalar:
     """Arithmetic mean. Exact backend returns the exact rational mean.
 
@@ -92,10 +107,10 @@ def mean_of(values: Sequence[Scalar]) -> Scalar:
     if all(v == first for v in values[1:]):
         return first
     vals, kind = coerce_all(values)
-    total = sum(vals)
     if kind == EXACT:
-        return Fraction(total, len(vals)) if isinstance(total, int) else total / len(vals)
-    m = total / len(vals)
+        nums, den = common_numerators(vals)
+        return Fraction(sum(nums), den * len(vals))
+    m = sum(vals) / len(vals)
     lo, hi = min(vals), max(vals)
     return min(max(m, lo), hi)
 

@@ -169,6 +169,12 @@ def _require(cond, field_name, message):
         raise ScenarioError(f"{field_name}: {message}")
 
 
+def int_at_least(value, least) -> bool:
+    """True for an integer >= least. JSON true/false parse as Python bools,
+    which are ints too, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def parse_scalar_field(raw, field_name):
     """parse_scalar, with any rejection reported against field_name."""
     try:
@@ -202,7 +208,7 @@ def _parse_model(raw) -> ModelSpec:
     kind = raw.get("kind")
     if kind == "knn":
         k = raw.get("k")
-        _require(isinstance(k, int) and k >= 1, "model.k", "must be a positive integer")
+        _require(int_at_least(k, 1), "model.k", "must be a positive integer")
         return ModelSpec(kind="knn", k=k)
     if kind == "abc":
         d = raw.get("d")
@@ -220,7 +226,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
     kind = raw.get("kind")
     if kind == "uniform_random":
         n = raw.get("n")
-        _require(isinstance(n, int) and n >= 1, f"{where}n", "must be a positive integer")
+        _require(int_at_least(n, 1), f"{where}n", "must be a positive integer")
         _require("seed" in raw, f"{where}seed", "is required")
         return InitialSpec(kind=kind, n=n,
                            low=_finite_float(raw.get("low", 0.0), f"{where}low"),
@@ -238,7 +244,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
             entry = f"{where}groups[{i}]"
             _require(isinstance(g, dict) and "opinion" in g and "size" in g,
                      entry, "needs opinion and size")
-            _require(isinstance(g["size"], int) and g["size"] >= 1,
+            _require(int_at_least(g["size"], 1),
                      f"{entry}.size", "must be a positive integer")
             parsed.append((parse_scalar_field(g["opinion"], f"{entry}.opinion"), g["size"]))
         return InitialSpec(kind=kind, groups=tuple(parsed))
@@ -254,8 +260,8 @@ def _parse_schedule(raw) -> ScheduleSpec:
     if kind == "explicit":
         agents = raw.get("agents")
         _require(isinstance(agents, list), "schedule.agents", "must be a list")
-        _require(all(isinstance(a, int) and a >= 1 for a in agents),
-                 "schedule.agents", "must contain positive agent ids")
+        for i, a in enumerate(agents):
+            _require(int_at_least(a, 1), f"schedule.agents[{i}]", "must be a positive agent id")
         return ScheduleSpec(kind=kind, agents=tuple(agents))
     if kind == "shrink":
         return ScheduleSpec(kind="shrink")
@@ -265,7 +271,7 @@ def _parse_schedule(raw) -> ScheduleSpec:
 def _event_step(raw, where) -> int:
     _require(isinstance(raw, dict), where, "must be an object")
     step = raw.get("step")
-    _require(isinstance(step, int) and step >= 0, f"{where}.step",
+    _require(int_at_least(step, 0), f"{where}.step",
              "must be a nonnegative integer")
     return step
 
@@ -295,7 +301,7 @@ def _parse_event(raw, pos) -> EventSpec:
     step = _event_step(raw, where)
     if kind == "remove":
         agent = raw.get("agent")
-        _require(isinstance(agent, int) and agent >= 1, f"{where}.agent",
+        _require(int_at_least(agent, 1), f"{where}.agent",
                  "must be a positive agent id")
         return EventSpec(kind="remove", step=step, agent=agent)
     raise ScenarioError(f"{where}.kind: must be 'add' or 'remove'")
@@ -308,16 +314,12 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     schedule = _parse_schedule(raw.get("schedule"))
     events = tuple(_parse_event(e, i) for i, e in enumerate(raw.get("events", [])))
 
-    steps = [e.step for e in events]
-    _require(steps == sorted(steps) and len(steps) == len(set(steps)),
-             "events", "steps must be strictly increasing")
-
     max_steps = raw.get("max_steps", DEFAULT_MAX_STEPS)
-    _require(isinstance(max_steps, int) and max_steps >= 0, "max_steps",
+    _require(int_at_least(max_steps, 0), "max_steps",
              "must be a nonnegative integer")
     tol = _finite_float(raw.get("tol", DEFAULT_TOL), "tol")
     record_every = raw.get("record_every", 1)
-    _require(isinstance(record_every, int) and record_every >= 1, "record_every",
+    _require(int_at_least(record_every, 1), "record_every",
              "must be a positive integer")
 
     spec = ScenarioSpec(
@@ -341,7 +343,8 @@ def load_scenario(path) -> ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Static checks that need the whole document: value ranges, the k <= n
-    constraint at every point of the event timeline, event steps the run
+    constraint at every point of the event timeline, event steps that
+    strictly increase (a run applies one event per step) and that the run
     reaches, and removal ids that exist when the event fires. Added agents
     get ids n+1, n+2, ... in event order; ids are never reused within a run."""
     _require(math.isfinite(spec.tol) and spec.tol > 0, "tol",
@@ -357,6 +360,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _require(spec.model.kind == "knn", "schedule",
                  "shrink schedule requires the knn model")
 
+    steps = [e.step for e in spec.events]
+    _require(all(a < b for a, b in zip(steps, steps[1:])),
+             "events", "steps must be strictly increasing")
     ids = set(range(1, n0 + 1))
     next_id = n0 + 1
     for pos, event in enumerate(spec.events):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -115,6 +116,15 @@ def test_verify_lemmas_matches_library(tmp_path, capsys):
     assert payload == run_suite(5, trials=25).to_jsonable()
     err = capsys.readouterr().err
     assert "[pass]" in err and "[FAIL]" not in err
+
+
+def test_verify_lemmas_report_is_pinned(tmp_path):
+    # sha256 of the report written before the exact kernels moved to integer
+    # numerators; any drift in a verdict or witness changes it
+    out = tmp_path / "suite.json"
+    assert main(["verify-lemmas", "--seed", "0", "--trials", "50", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "56699c43f7a99c0004f41f21e1237f4efdfeb3da7c6554c27de6a07ff59c483a")
 
 
 def test_robustness_add_cli(tmp_path, capsys):
@@ -291,6 +301,10 @@ ROBUST_REMOVE = {
      "additions[1].opinion.high"),
     ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "normal"}}]),
      "additions[0].opinion.kind"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 3, "opinion": 0.7},
+                                        {"step": 3, "opinion": 0.9}]), "additions[1].step"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 3, "opinion": 0.7},
+                                        {"step": 2, "opinion": 0.9}]), "additions[1].step"),
 ])
 def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
     spec = write_json(tmp_path / "r.json", document)
@@ -322,6 +336,26 @@ def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
     assert code == EXIT_USAGE
     assert f"error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"model": {"kind": "knn", "k": True}}, "model.k"),
+    ({"initial": {"kind": "uniform_random", "n": True, "seed": 1}}, "initial.n"),
+    ({"initial": {"kind": "clusters", "groups": [{"opinion": 0.5, "size": 4},
+                                                 {"opinion": 0.7, "size": True}]}},
+     "initial.groups[1].size"),
+    ({"schedule": {"kind": "explicit", "agents": [1, True]}}, "schedule.agents[1]"),
+    ({"events": [dict(ADD_EVENT, step=True, opinion=0.5)]}, "events[0].step"),
+    ({"events": [{"kind": "remove", "step": 1, "agent": True}]}, "events[0].agent"),
+    ({"max_steps": True}, "max_steps"),
+    ({"max_steps": False}, "max_steps"),
+    ({"record_every": True}, "record_every"),
+])
+def test_simulate_rejects_booleans_as_integers(tmp_path, capsys, change, field):
+    spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
 
 
 def test_simulate_rejects_max_steps_override_before_an_event(tmp_path, capsys):

@@ -220,6 +220,13 @@ def test_robustness_addition_originals_frozen():
     assert report.abc is not None
 
 
+def test_robustness_addition_rejects_two_additions_at_one_step():
+    # simulate applies one event per step, so the second would be dropped
+    base = Configuration([F(2, 5)] * 6)
+    with pytest.raises(ScenarioError, match="events: steps must be strictly increasing"):
+        robustness_addition(base, 5, [(3, 0.7), (3, 0.9)], schedule_seed=3)
+
+
 def test_robustness_addition_new_cluster_when_k_join():
     base = build_clustered([(F(0), 5)])
     adds = [(i + 1, 100.0) for i in range(5)]  # far away, enough to self-sustain
