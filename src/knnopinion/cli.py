@@ -27,6 +27,7 @@ from .harness import (
     CLASS_CLUSTERED,
     CLASS_NON_CLUSTERED,
     STOP_CONVERGED,
+    NotClusteredError,
     classify_opinions,
     robustness_addition,
     robustness_removal,
@@ -114,8 +115,7 @@ def cmd_classify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ParameterError("--tol: must be a finite positive number")
     config = _load_configuration(_load_json(args.config))
-    if not 1 <= args.k <= config.n:
-        raise ParameterError(f"k={args.k} violates 1 <= k <= n={config.n}")
+    _require(1 <= args.k <= config.n, "--k", f"must be between 1 and n={config.n}")
     if config.backend == EXACT:
         report = is_equilibrium(config, args.k)
         payload = {"mode": "exact", "k": args.k, **report.to_jsonable()}
@@ -135,6 +135,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    _require(int_at_least(args.trials, 1), "--trials", "must be a positive integer")
     suite = run_suite(args.seed, trials=args.trials)
     _write_json(suite.to_jsonable(), args.out)
     for report in suite.reports:
@@ -171,6 +172,7 @@ def cmd_robustness(args) -> int:
     _require("base" in raw, "base", "is required")
     base = _load_configuration(raw["base"], "base.")
     k = _count(raw, "k", None, 1)
+    _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
     abc_d = raw.get("abc_d")
     if abc_d is not None:
         abc_d = parse_scalar_field(abc_d, "abc_d")
@@ -178,28 +180,33 @@ def cmd_robustness(args) -> int:
     max_steps = _count(raw, "max_steps", 10**5, 0)
     tol = _finite_float(raw.get("tol", 1e-12 if args.mode == "add" else 1e-9), "tol")
     _require(tol > 0, "tol", "must be positive")
-    if args.mode == "add":
-        additions = _parse_additions(raw.get("additions", []),
-                                     raw.get("addition_seed", 0))
-        report = robustness_addition(
-            base, k, additions,
-            schedule_seed=raw.get("schedule_seed", 0),
-            abc_d=abc_d, max_steps=max_steps, tol=tol,
-        )
-    else:
-        remove = _count(raw, "remove", None, 1)
-        _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
-        report = robustness_removal(
-            base, k, remove,
-            abc_d=abc_d,
-            schedule_seed=raw.get("schedule_seed", 0),
-            max_steps=max_steps, tol=tol,
-        )
+    try:
+        if args.mode == "add":
+            additions = _parse_additions(raw.get("additions", []),
+                                         raw.get("addition_seed", 0))
+            report = robustness_addition(
+                base, k, additions,
+                schedule_seed=raw.get("schedule_seed", 0),
+                abc_d=abc_d, max_steps=max_steps, tol=tol,
+            )
+        else:
+            remove = _count(raw, "remove", None, 1)
+            _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
+            _require(k < base.n, "k", f"must be below n={base.n}: the removal leaves n-1 agents")
+            report = robustness_removal(
+                base, k, remove,
+                abc_d=abc_d,
+                schedule_seed=raw.get("schedule_seed", 0),
+                max_steps=max_steps, tol=tol,
+            )
+    except NotClusteredError as exc:
+        raise ScenarioError(f"base: {exc}") from None
     _write_json(report.to_jsonable(), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    _require(int_at_least(args.jobs, 1), "--jobs", "must be a positive integer")
     raw = _load_json(args.grid)
     if not isinstance(raw, list):
         raise ScenarioError("grid file must hold a JSON array of scenarios")
@@ -221,6 +228,7 @@ def _figure_spec_clustered(seed, max_steps):
 
 
 def cmd_figures(args) -> int:
+    _require(int_at_least(args.seed_range, 1), "--seed-range", "must be a positive integer")
     os.makedirs(args.out, exist_ok=True)
     notes = {}
 

@@ -60,6 +60,18 @@ class VerifierReport:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+def scan_trials(name: str, trials: int, case: Callable[[], Optional[dict]],
+                passed_detail: dict) -> VerifierReport:
+    """Call `case` `trials` times; it draws and checks one random instance
+    and returns None, or the detail of a failure. The first failure is
+    reported under `name` with its trial index."""
+    for t in range(trials):
+        detail = case()
+        if detail is not None:
+            return VerifierReport(name=name, passed=False, detail={"trial": t, **detail})
+    return VerifierReport(name=name, passed=True, detail=passed_detail)
+
+
 def _order_keys(config: Configuration):
     """Per-agent keys that order like the opinions: the integer numerators
     of an exact configuration, the floats themselves otherwise."""
@@ -119,21 +131,15 @@ def check_z_le_y(n: int, k: int, trials: int, seed) -> VerifierReport:
         raise ParameterError("trials must be >= 1")
     if n < 2 * k:
         rng = SeededRng(seed).derive(f"zy:{n}:{k}")
-        for t in range(trials):
+
+        def case():
             config = random_exact_configuration(n, rng)
             sel = extremal_selection(config, k)
             if sel.z > sel.y:
-                return VerifierReport(
-                    name="z_le_y",
-                    passed=False,
-                    detail={
-                        "n": n, "k": k, "trial": t,
-                        "config": [str(v) for v in config.opinions],
-                    },
-                )
-        return VerifierReport(
-            name="z_le_y", passed=True, detail={"n": n, "k": k, "trials": trials}
-        )
+                return {"n": n, "k": k, "config": [str(v) for v in config.opinions]}
+            return None
+
+        return scan_trials("z_le_y", trials, case, {"n": n, "k": k, "trials": trials})
     witness = Configuration([Fraction(v) for v in range(n)])
     sel = extremal_selection(witness, k)
     return VerifierReport(
@@ -151,7 +157,6 @@ def check_z_le_y(n: int, k: int, trials: int, seed) -> VerifierReport:
 class ScheduleRun:
     states: list          # Configuration, length steps+1
     updaters: list        # agent ids
-    contraction_bound_applies: bool = False
 
     @property
     def diameters(self) -> list:
@@ -174,12 +179,10 @@ def run_schedule_tags(config: Configuration, k: int, tags) -> ScheduleRun:
 
 def run_shrink_schedule(config: Configuration, k: int) -> ScheduleRun:
     """Apply the 2k-2 step mu-then-M schedule. The (1 - 1/k) diameter
-    contraction is guaranteed only for n < 2k; the run is still executed
-    otherwise and the flag on the result says whether the bound applies."""
+    contraction is guaranteed only for n < 2k; the run is executed for any
+    n."""
     _check_k(k, config.n)
-    run = run_schedule_tags(config, k, ShrinkSchedule(k).steps)
-    run.contraction_bound_applies = config.n < 2 * k
-    return run
+    return run_schedule_tags(config, k, ShrinkSchedule(k).steps)
 
 
 def verify_lemma2_monotonicity(
@@ -231,17 +234,12 @@ def verify_lemma2_monotonicity(
     )
 
 
-def verify_lemma3_contraction(
-    config: Configuration, k: int, update_fn: Optional[Callable] = None
-) -> VerifierReport:
+def verify_lemma3_contraction(config: Configuration, k: int) -> VerifierReport:
     """After k-1 all-mu steps:
     y - min <= (1 - 1/k) * (y(0) - min(0)), certified exactly."""
-    update = update_fn if update_fn is not None else knn_update
     sel0 = extremal_selection(config, k)
     lo0 = min(config.opinions)
-    state = config
-    for _ in range(k - 1):
-        state = update(state, mu_index(state), k)
+    state = run_schedule_tags(config, k, [MU] * (k - 1)).states[-1]
     y_end = max(state.opinion(j) for j in knn_neighbors(state, mu_index(state), k).members)
     lo_end = min(state.opinions)
     lhs = y_end - lo_end
@@ -283,16 +281,16 @@ def verify_shrink_contraction(config: Configuration, k: int) -> VerifierReport:
     d0, dT = diameter(run.states[0]), diameter(run.states[-1])
     bound = (1 - Fraction(1, k)) * d0
     holds = dT <= bound
-    report = VerifierReport(
+    applies = config.n < 2 * k
+    return VerifierReport(
         name="shrink_contraction",
-        passed=holds if run.contraction_bound_applies else True,
+        passed=holds or not applies,
         detail={
             "n": config.n, "k": k,
             "initial_diameter": str(d0),
             "final_diameter": str(dT),
             "bound": str(bound),
-            "bound_applies": run.contraction_bound_applies,
+            "bound_applies": applies,
             "observed_holds": holds,
         },
     )
-    return report

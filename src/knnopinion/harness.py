@@ -76,16 +76,6 @@ def _build_initial(spec: InitialSpec):
     return list(config.opinions), config.backend
 
 
-def _coerce_added(value, backend: str) -> Scalar:
-    if backend == FLOAT:
-        return float(value)
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise ScenarioError(
-        "cannot add a float opinion to an exact-backend run"
-    )
-
-
 def _updated_value(index: OpinionIndex, idx, model: ModelSpec) -> Scalar:
     opinions = index.opinions
     if model.kind == "knn":
@@ -257,14 +247,11 @@ def _check_due(t: int, n: int) -> bool:
 
 def _apply_event(event, ids, opinions, next_id, backend, rng_events, record):
     if event.kind == "add":
+        # validate_scenario admits floats and random opinions in float runs only
         if isinstance(event.opinion, tuple) and event.opinion[0] == "uniform_random":
-            if backend == EXACT:
-                raise ScenarioError(
-                    "random-opinion additions require the float backend"
-                )
             value = rng_events.uniform(event.opinion[1], event.opinion[2])
         else:
-            value = _coerce_added(event.opinion, backend)
+            value = float(event.opinion) if backend == FLOAT else Fraction(event.opinion)
         ids.append(next_id)
         opinions.append(value)
         record.events_log.append(

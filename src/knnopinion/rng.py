@@ -36,9 +36,6 @@ class SeededRng:
             if v < m:
                 return v
 
-    def choice(self, items):
-        return items[self.randbelow(len(items))]
-
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self._r.random()
 

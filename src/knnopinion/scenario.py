@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import BackendError, format_scalar, parse_scalar
+from .numerics import FLOAT, BackendError, coerce_all, format_scalar, parse_scalar
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_TOL = 1e-9
@@ -76,6 +76,12 @@ class InitialSpec:
         if self.kind == "explicit":
             return len(self.opinions)
         return sum(size for _, size in self.groups)
+
+    def backend(self) -> str:
+        """FLOAT for a random state, else the one backend of the fixed opinions."""
+        if self.kind == "uniform_random":
+            return FLOAT
+        return coerce_all(self.fixed_opinions())[1]
 
     def fixed_opinions(self) -> list:
         """The opinions of an explicit or clusters state, in agent order."""
@@ -194,6 +200,14 @@ def parse_scalar_list(values, field_name) -> tuple:
     return tuple(out)
 
 
+def _one_backend(values, field_name) -> tuple:
+    """Parsed scalars (floats and Fractions) as a tuple; a mix of the two is
+    rejected."""
+    _require(len({type(v) for v in values}) == 1, field_name,
+             "cannot mix exact and float scalars")
+    return tuple(values)
+
+
 def _finite_float(raw, field_name) -> float:
     """A JSON number as a float. Python's json also reads NaN, Infinity and
     ints too large for a float; all three are rejected."""
@@ -235,7 +249,8 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
     if kind == "explicit":
         ops = raw.get("opinions")
         _require(isinstance(ops, list) and ops, f"{where}opinions", "must be a non-empty list")
-        return InitialSpec(kind=kind, opinions=parse_scalar_list(ops, f"{where}opinions"))
+        opinions = parse_scalar_list(ops, f"{where}opinions")
+        return InitialSpec(kind=kind, opinions=_one_backend(opinions, f"{where}opinions"))
     if kind == "clusters":
         groups = raw.get("groups")
         _require(isinstance(groups, list) and groups, f"{where}groups", "must be a non-empty list")
@@ -247,6 +262,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
             _require(int_at_least(g["size"], 1),
                      f"{entry}.size", "must be a positive integer")
             parsed.append((parse_scalar_field(g["opinion"], f"{entry}.opinion"), g["size"]))
+        _one_backend([op for op, _ in parsed], f"{where}groups")
         return InitialSpec(kind=kind, groups=tuple(parsed))
     raise ScenarioError(f"{where}kind: must be uniform_random, explicit or clusters")
 
@@ -312,20 +328,16 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     model = _parse_model(raw.get("model"))
     initial = parse_initial(raw.get("initial"))
     schedule = _parse_schedule(raw.get("schedule"))
-    events = tuple(_parse_event(e, i) for i, e in enumerate(raw.get("events", [])))
-
-    max_steps = raw.get("max_steps", DEFAULT_MAX_STEPS)
-    _require(int_at_least(max_steps, 0), "max_steps",
-             "must be a nonnegative integer")
-    tol = _finite_float(raw.get("tol", DEFAULT_TOL), "tol")
-    record_every = raw.get("record_every", 1)
-    _require(int_at_least(record_every, 1), "record_every",
-             "must be a positive integer")
+    events = raw.get("events", [])
+    _require(isinstance(events, list), "events", "must be a list")
+    events = tuple(_parse_event(e, i) for i, e in enumerate(events))
 
     spec = ScenarioSpec(
         model=model, initial=initial, schedule=schedule, events=events,
-        event_seed=raw.get("event_seed", 0), max_steps=max_steps,
-        tol=tol, record_every=record_every,
+        event_seed=raw.get("event_seed", 0),
+        max_steps=raw.get("max_steps", DEFAULT_MAX_STEPS),
+        tol=_finite_float(raw.get("tol", DEFAULT_TOL), "tol"),
+        record_every=raw.get("record_every", 1),
         name=raw.get("name", "scenario"),
     )
     validate_scenario(spec)
@@ -342,11 +354,17 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
-    """Static checks that need the whole document: value ranges, the k <= n
+    """Checks on the whole spec, so that fields set after parsing (a CLI
+    override, a library caller) are checked too: value ranges, the k <= n
     constraint at every point of the event timeline, event steps that
     strictly increase (a run applies one event per step) and that the run
-    reaches, and removal ids that exist when the event fires. Added agents
+    reaches, additions an exact run can hold exactly (an integer or "p/q"),
+    and removal ids that exist when the event fires. Added agents
     get ids n+1, n+2, ... in event order; ids are never reused within a run."""
+    _require(int_at_least(spec.max_steps, 0), "max_steps",
+             "must be a nonnegative integer")
+    _require(int_at_least(spec.record_every, 1), "record_every",
+             "must be a positive integer")
     _require(math.isfinite(spec.tol) and spec.tol > 0, "tol",
              "must be a finite positive number")
     if spec.initial.kind == "uniform_random":
@@ -372,6 +390,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
             if isinstance(event.opinion, tuple):
                 _require(event.opinion[1] <= event.opinion[2], f"events[{pos}].opinion.low",
                          "must not exceed opinion.high")
+            if isinstance(event.opinion, (tuple, float)):
+                _require(spec.initial.backend() == FLOAT, f"events[{pos}].opinion",
+                         "an exact run adds only integers and 'p/q'")
             ids.add(next_id)
             next_id += 1
         else:

@@ -13,6 +13,7 @@ from .convergence import (
     VerifierReport,
     check_z_le_y,
     random_exact_configuration,
+    scan_trials,
     verify_lemma2_monotonicity,
     verify_lemma3_contraction,
     verify_lemma_bigm,
@@ -54,47 +55,32 @@ def verify_cluster_size_equivalence(trials: int, seed, n_max: int = 30) -> Verif
     >= k) on random layouts; the size side is recomputed here, independently
     of the neighbor-based definition."""
     rng = SeededRng(seed).derive("cluster-size")
-    for t in range(trials):
+
+    def case():
         n = 1 + rng.randbelow(n_max)
         k = 1 + rng.randbelow(n)
         config = random_cluster_layout(n, rng)
-        min_size = min(
-            len(members) for _, members in partition_clusters(config).groups
-        )
-        if is_clustered(config, k) != (min_size >= k):
-            return VerifierReport(
-                name="cluster_size_equivalence", passed=False,
-                detail={"trial": t, "n": n, "k": k,
-                        "config": [str(v) for v in config.opinions]},
-            )
-    return VerifierReport(
-        name="cluster_size_equivalence", passed=True, detail={"trials": trials}
-    )
+        if is_clustered(config, k) != (partition_clusters(config).min_size() >= k):
+            return {"n": n, "k": k, "config": [str(v) for v in config.opinions]}
+        return None
+
+    return scan_trials("cluster_size_equivalence", trials, case, {"trials": trials})
 
 
 def verify_clustered_implies_equilibrium(trials: int, seed, n_max: int = 30) -> VerifierReport:
     rng = SeededRng(seed).derive("clustered-eq")
-    checked = 0
-    for t in range(trials):
+
+    def case():
         n = 1 + rng.randbelow(n_max)
         config = random_cluster_layout(n, rng)
-        sizes = [len(m) for _, m in partition_clusters(config).groups]
-        k = min(sizes)  # guarantees the layout is clustered at this k
+        k = partition_clusters(config).min_size()  # the layout is clustered at this k
         if not is_clustered(config, k):
-            return VerifierReport(
-                name="clustered_implies_equilibrium", passed=False,
-                detail={"trial": t, "reason": "layout not clustered at k=min size"},
-            )
-        checked += 1
+            return {"reason": "layout not clustered at k=min size"}
         if not is_equilibrium(config, k).is_equilibrium:
-            return VerifierReport(
-                name="clustered_implies_equilibrium", passed=False,
-                detail={"trial": t, "n": n, "k": k,
-                        "config": [str(v) for v in config.opinions]},
-            )
-    return VerifierReport(
-        name="clustered_implies_equilibrium", passed=True, detail={"checked": checked}
-    )
+            return {"n": n, "k": k, "config": [str(v) for v in config.opinions]}
+        return None
+
+    return scan_trials("clustered_implies_equilibrium", trials, case, {"checked": trials})
 
 
 def verify_floor_bound_tight(n_max: int = 20) -> VerifierReport:
@@ -120,59 +106,32 @@ def verify_counterexamples(pairs: int, seed) -> VerifierReport:
     """Both non-clustered equilibrium constructions certify for random
     rational (alpha, beta) pairs with alpha < beta."""
     rng = SeededRng(seed).derive("counterexamples")
-    for t in range(pairs):
+
+    def case():
         den = 1 + rng.randbelow(30)
         a = Fraction(rng.randbelow(200) - 100, den)
         b = a + Fraction(1 + rng.randbelow(100), den)
         for builder, k in ((build_tie_counterexample, 3), (build_example1, 5)):
-            config = builder(a, b)
-            report = is_equilibrium(config, k)
+            report = is_equilibrium(builder(a, b), k)
             if not report.is_equilibrium or report.is_clustered:
-                return VerifierReport(
-                    name="counterexamples", passed=False,
-                    detail={"trial": t, "alpha": str(a), "beta": str(b),
-                            "builder": builder.__name__},
-                )
-    return VerifierReport(name="counterexamples", passed=True, detail={"pairs": pairs})
+                return {"alpha": str(a), "beta": str(b), "builder": builder.__name__}
+        return None
+
+    return scan_trials("counterexamples", pairs, case, {"pairs": pairs})
 
 
-def verify_mu_monotonicity_random(trials: int, seed, n_max: int = 12) -> VerifierReport:
-    rng = SeededRng(seed).derive("mu-mono")
-    for t in range(trials):
+def _random_exact_trials(name, stream, check, trials, seed, n_max=12) -> VerifierReport:
+    """`check(config, k)` on random exact states with 2 <= n <= n_max and
+    1 <= k <= n, drawn from the substream `stream` of `seed`."""
+    rng = SeededRng(seed).derive(stream)
+
+    def case():
         n = 2 + rng.randbelow(n_max - 1)
         k = 1 + rng.randbelow(n)
-        config = random_exact_configuration(n, rng)
-        report = verify_lemma2_monotonicity(config, k, steps=2 * k + 3)
-        if not report.passed:
-            report.detail.update({"trial": t, "n": n, "k": k})
-            return report
-    return VerifierReport(name="mu_monotonicity", passed=True, detail={"trials": trials})
+        report = check(random_exact_configuration(n, rng), k)
+        return None if report.passed else {**report.detail, "n": n, "k": k}
 
-
-def verify_mu_contraction_random(trials: int, seed, n_max: int = 12) -> VerifierReport:
-    rng = SeededRng(seed).derive("mu-contract")
-    for t in range(trials):
-        n = 2 + rng.randbelow(n_max - 1)
-        k = 1 + rng.randbelow(n)
-        config = random_exact_configuration(n, rng)
-        report = verify_lemma3_contraction(config, k)
-        if not report.passed:
-            report.detail.update({"trial": t, "n": n, "k": k})
-            return report
-    return VerifierReport(name="mu_contraction", passed=True, detail={"trials": trials})
-
-
-def verify_bigm_random(trials: int, seed, n_max: int = 12) -> VerifierReport:
-    rng = SeededRng(seed).derive("big-m")
-    for t in range(trials):
-        n = 2 + rng.randbelow(n_max - 1)
-        k = 1 + rng.randbelow(n)
-        config = random_exact_configuration(n, rng)
-        report = verify_lemma_bigm(config, k, steps=2 * k + 3)
-        if not report.passed:
-            report.detail.update({"trial": t, "n": n, "k": k})
-            return report
-    return VerifierReport(name="big_m_mirror", passed=True, detail={"trials": trials})
+    return scan_trials(name, trials, case, {"trials": trials})
 
 
 def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> VerifierReport:
@@ -226,9 +185,14 @@ def run_suite(seed, trials: int = 200) -> SuiteReport:
         verify_clustered_implies_equilibrium(max(20, trials // 4), seed),
         verify_floor_bound_tight(),
         verify_counterexamples(max(20, trials // 10), seed),
-        verify_mu_monotonicity_random(trials, seed),
-        verify_mu_contraction_random(trials, seed),
-        verify_bigm_random(max(20, trials // 4), seed),
+        _random_exact_trials(
+            "mu_monotonicity", "mu-mono",
+            lambda x, k: verify_lemma2_monotonicity(x, k, steps=2 * k + 3), trials, seed),
+        _random_exact_trials(
+            "mu_contraction", "mu-contract", verify_lemma3_contraction, trials, seed),
+        _random_exact_trials(
+            "big_m_mirror", "big-m",
+            lambda x, k: verify_lemma_bigm(x, k, steps=2 * k + 3), max(20, trials // 4), seed),
         verify_zy_dichotomy_grid(max(50, trials // 2), seed),
         verify_shrink_grid(max(10, trials // 10), seed),
     ])

@@ -383,3 +383,66 @@ def test_simulate_meta_includes_an_add_on_the_stop_step(tmp_path):
     last_rows = [row for row in (tmp_path / "x.csv").read_text().splitlines()
                  if row.startswith("5,")]
     assert [row.split(",")[1] for row in last_rows] == ["1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--record-every", "0", "record_every"),
+    ("--record-every", "-2", "record_every"),
+    ("--max-steps", "-1", "max_steps"),
+])
+def test_simulate_rejects_out_of_range_count_overrides(tmp_path, capsys, flag, value, field):
+    spec_path = write_json(tmp_path / "s.json", SCENARIO)
+    code = main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x"), flag, value])
+    assert code == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-lemmas", "--trials", "-5"], "--trials"),
+    (["verify-lemmas", "--trials", "0"], "--trials"),
+    (["figures", "--seed-range", "0"], "--seed-range"),
+    (["sweep", "--jobs", "-2"], "--jobs"),
+    (["sweep", "--jobs", "0"], "--jobs"),
+])
+def test_count_flags_below_one_are_rejected(tmp_path, capsys, argv, flag):
+    grid = write_json(tmp_path / "grid.json", [dict(SCENARIO, max_steps=10)])
+    extra = {"figures": ["--out", str(tmp_path / "fig")],
+             "sweep": ["--grid", grid],
+             "verify-lemmas": ["--out", str(tmp_path / "suite.json")]}[argv[0]]
+    assert main(argv + extra) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag}:")
+    assert list(tmp_path.iterdir()) == [tmp_path / "grid.json"]
+
+
+@pytest.mark.parametrize("document, field", [
+    (dict(SCENARIO, events=5), "events"),
+    (dict(SCENARIO, initial={"kind": "explicit", "opinions": [0.5, "1/3", 1]}),
+     "initial.opinions"),
+    (dict(SCENARIO, initial={"kind": "clusters", "groups": [{"opinion": 0.5, "size": 3},
+                                                             {"opinion": "1/3", "size": 3}]}),
+     "initial.groups"),
+    (dict(SCENARIO, initial={"kind": "explicit", "opinions": ["0/1", "1/3", 1, 2]},
+          events=[dict(ADD_EVENT, opinion=0.5)]), "events[0].opinion"),
+    (dict(SCENARIO, initial={"kind": "explicit", "opinions": ["0/1", "1/3", 1, 2]},
+          events=[dict(ADD_EVENT, opinion={"kind": "uniform_random"})]), "events[0].opinion"),
+])
+def test_simulate_names_the_field_of_a_backend_mismatch(tmp_path, capsys, document, field):
+    spec_path = write_json(tmp_path / "s.json", document)
+    assert main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("argv, document, field", [
+    (["classify", "--k", "3"], [0.1, 0.9], "--k"),
+    (["classify", "--k", "1"], [0.1, "1/2"], "opinions"),
+    (["robustness", "add"], dict(ROBUST_ADD, k=7), "k"),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, k=11), "k"),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, k=6), "base"),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, base=[0.0, 0.0, 0.0], k=1), "base"),
+])
+def test_classify_and_robustness_name_the_bad_field(tmp_path, capsys, argv, document, field):
+    path = write_json(tmp_path / "doc.json", document)
+    flag = "--config" if argv[0] == "classify" else "--spec"
+    assert main(argv + [flag, path]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {field}:")

@@ -173,3 +173,12 @@ def test_bigm_random_includes_reflection_crosscheck():
         k = 1 + rng.randbelow(n)
         report = verify_lemma_bigm(random_exact_configuration(n, rng), k, steps=6)
         assert report.passed, report.detail
+
+
+def test_shrink_contraction_at_n_2k_is_reported_not_asserted():
+    # (0, 1, 2, 3), k=2: the schedule leaves (1/2, 1, 2, 5/2), diameter 2 > 3/2
+    report = verify_shrink_contraction(Configuration([F(0), F(1), F(2), F(3)]), 2)
+    assert report.passed
+    assert report.detail["bound_applies"] is False
+    assert report.detail["observed_holds"] is False
+    assert report.detail["final_diameter"] == "2"

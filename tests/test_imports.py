@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no module
+defines a private (`_name`) function or class that nothing in it refers to.
 
-The project ships no linter, so this stdlib `ast` check stands in for one.
-`__init__.py` is exempt: its imports are the public API.
+The project ships no linter, so these stdlib `ast` checks stand in for one.
+`__init__.py` is exempt from the import rule: its imports are the public API.
 """
 
 import ast
@@ -27,6 +28,15 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def unreferenced_privates(source: str) -> list:
+    tree = ast.parse(source)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(private - used)
+
+
 def test_the_check_sees_unused_and_used_names():
     source = "import os, sys\nfrom a.b import c, d as e\nprint(sys.argv, e)\n"
     assert unused_imports(source) == ["c", "os"]
@@ -35,3 +45,14 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_the_private_check_sees_unreferenced_definitions():
+    source = ("def _used(): pass\ndef _dead(): pass\nclass _Dead: pass\n"
+              "def __dunder__(): pass\ndef public(): return _used()\n")
+    assert unreferenced_privates(source) == ["_Dead", "_dead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_refers_to_every_private_definition(module):
+    assert unreferenced_privates((PACKAGE / f"{module}.py").read_text()) == []
