@@ -6,13 +6,10 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     Configuration,
-    InteractionGraph,
     NeighborSet,
     ParameterError,
-    abc_neighbors,
     abc_update,
     diameter,
-    interaction_graph,
     knn_neighbors,
     knn_update,
 )
@@ -47,7 +44,7 @@ from .harness import (
     robustness_removal,
     simulate,
 )
-from .numerics import Scalar, abs_diff, format_scalar, mean_of, parse_scalar
+from .numerics import Scalar, format_scalar, mean_of, parse_scalar
 from .rng import SeededRng
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dynamics import Configuration, ParameterError
+from .dynamics import ParameterError
 from .equilibria import (
     build_example1,
     is_equilibrium,
@@ -27,7 +27,6 @@ from .harness import (
     CLASS_CLUSTERED,
     CLASS_NON_CLUSTERED,
     STOP_CONVERGED,
-    NotClusteredError,
     classify_opinions,
     robustness_addition,
     robustness_removal,
@@ -35,7 +34,6 @@ from .harness import (
     simulate,
 )
 from .numerics import EXACT, BackendError
-from .rng import SeededRng
 from .scenario import (
     EventSpec,
     InitialSpec,
@@ -43,14 +41,12 @@ from .scenario import (
     ScenarioError,
     ScenarioSpec,
     ScheduleSpec,
-    _finite_float,
     _require,
     int_at_least,
     load_scenario,
-    parse_add_event,
-    parse_initial,
-    parse_scalar_field,
-    parse_scenario,
+    parse_configuration,
+    parse_grid,
+    parse_robustness,
 )
 from .verification import run_suite
 
@@ -66,19 +62,6 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-
-
-def _load_configuration(raw, where="") -> Configuration:
-    """A JSON array of opinions, or an object with `opinions` or `groups`,
-    parsed as an explicit or clusters initial state; `where` prefixes the
-    field names in error messages ("base." for a robustness base)."""
-    if isinstance(raw, list):
-        raw = {"opinions": raw}
-    _require(isinstance(raw, dict) and ("opinions" in raw or "groups" in raw),
-             where[:-1] or "configuration",
-             "must be a JSON array or an object with 'opinions' or 'groups'")
-    kind = "clusters" if "groups" in raw else "explicit"
-    return Configuration(parse_initial(dict(raw, kind=kind), where).fixed_opinions())
 
 
 def _write_json(payload, path):
@@ -114,7 +97,7 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ParameterError("--tol: must be a finite positive number")
-    config = _load_configuration(_load_json(args.config))
+    config = parse_configuration(_load_json(args.config))
     _require(1 <= args.k <= config.n, "--k", f"must be between 1 and n={config.n}")
     if config.backend == EXACT:
         report = is_equilibrium(config, args.k)
@@ -144,74 +127,16 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if suite.all_passed else EXIT_VERIFICATION_FAILED
 
 
-def _parse_additions(raw_additions, seed):
-    _require(isinstance(raw_additions, list), "additions", "must be a list")
-    rng = SeededRng(seed).derive("additions")
-    additions = []
-    for i, entry in enumerate(raw_additions):
-        event = parse_add_event(entry, f"additions[{i}]")
-        # a run applies one event per step
-        _require(not additions or event.step > additions[-1][0], f"additions[{i}].step",
-                 "must be greater than the step of the addition before it")
-        value = event.opinion
-        if isinstance(value, tuple):   # ("uniform_random", low, high)
-            value = rng.uniform(value[1], value[2])
-        additions.append((event.step, float(value)))
-    return additions
-
-
-def _count(raw, name, default, least):
-    value = raw.get(name, default)
-    _require(int_at_least(value, least), name, f"must be an integer >= {least}")
-    return value
-
-
 def cmd_robustness(args) -> int:
-    raw = _load_json(args.spec)
-    _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
-    _require("base" in raw, "base", "is required")
-    base = _load_configuration(raw["base"], "base.")
-    k = _count(raw, "k", None, 1)
-    _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
-    abc_d = raw.get("abc_d")
-    if abc_d is not None:
-        abc_d = parse_scalar_field(abc_d, "abc_d")
-        _require(abc_d >= 0, "abc_d", "must be >= 0")
-    max_steps = _count(raw, "max_steps", 10**5, 0)
-    tol = _finite_float(raw.get("tol", 1e-12 if args.mode == "add" else 1e-9), "tol")
-    _require(tol > 0, "tol", "must be positive")
-    try:
-        if args.mode == "add":
-            additions = _parse_additions(raw.get("additions", []),
-                                         raw.get("addition_seed", 0))
-            report = robustness_addition(
-                base, k, additions,
-                schedule_seed=raw.get("schedule_seed", 0),
-                abc_d=abc_d, max_steps=max_steps, tol=tol,
-            )
-        else:
-            remove = _count(raw, "remove", None, 1)
-            _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
-            _require(k < base.n, "k", f"must be below n={base.n}: the removal leaves n-1 agents")
-            report = robustness_removal(
-                base, k, remove,
-                abc_d=abc_d,
-                schedule_seed=raw.get("schedule_seed", 0),
-                max_steps=max_steps, tol=tol,
-            )
-    except NotClusteredError as exc:
-        raise ScenarioError(f"base: {exc}") from None
+    run = robustness_addition if args.mode == "add" else robustness_removal
+    report = run(**parse_robustness(_load_json(args.spec), args.mode))
     _write_json(report.to_jsonable(), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     _require(int_at_least(args.jobs, 1), "--jobs", "must be a positive integer")
-    raw = _load_json(args.grid)
-    if not isinstance(raw, list):
-        raise ScenarioError("grid file must hold a JSON array of scenarios")
-    specs = [parse_scenario(entry) for entry in raw]
-    result = batch_sweep(specs, jobs=args.jobs)
+    result = batch_sweep(parse_grid(_load_json(args.grid)), jobs=args.jobs)
     _write_json(result.to_jsonable(), args.out)
     return EXIT_OK
 
@@ -229,6 +154,7 @@ def _figure_spec_clustered(seed, max_steps):
 
 def cmd_figures(args) -> int:
     _require(int_at_least(args.seed_range, 1), "--seed-range", "must be a positive integer")
+    _require(int_at_least(args.max_steps, 0), "--max-steps", "must be a nonnegative integer")
     os.makedirs(args.out, exist_ok=True)
     notes = {}
 

@@ -1,5 +1,5 @@
 """Core update laws: k-nearest-neighbor averaging and asynchronous bounded
-confidence (ABC), plus neighbor selection and the interaction graph.
+confidence (ABC), plus neighbor selection.
 
 Neighbor rule (k-NN): order all agents by (|x_j - x_i|, j) ascending and take
 the first k. The id component makes the order strictly total, so the neighbor
@@ -113,19 +113,6 @@ class NeighborSet:
     members: tuple
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    n: int
-    edges: frozenset  # directed (i, j) pairs, 1-based
-
-    def out_neighbors(self, i: int) -> set:
-        return {j for (a, j) in self.edges if a == i}
-
-    def to_edge_list(self) -> str:
-        lines = [f"{i} {j}" for (i, j) in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
-
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} violates 1 <= k <= n={n}")
@@ -237,28 +224,11 @@ def knn_update(config: Configuration, i: int, k: int) -> Configuration:
     return config.replace(i, knn_updated_value(config.opinions, i - 1, k))
 
 
-def abc_neighbors(config: Configuration, i: int, d: Scalar) -> NeighborSet:
-    config._check_agent(i)
-    if d < 0:
-        raise ParameterError("confidence range d must be >= 0")
-    idxs = abc_indices(config.opinions, i - 1, d)
-    return NeighborSet(agent=i, members=tuple(j + 1 for j in idxs))
-
-
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
     config._check_agent(i)
     if d < 0:
         raise ParameterError("confidence range d must be >= 0")
     return config.replace(i, abc_updated_value(config.opinions, i - 1, d))
-
-
-def interaction_graph(config: Configuration, k: int) -> InteractionGraph:
-    _check_k(k, config.n)
-    edges = set()
-    for i in config.agents():
-        for j in knn_neighbors(config, i, k).members:
-            edges.add((i, j))
-    return InteractionGraph(n=config.n, edges=frozenset(edges))
 
 
 def diameter(config: Configuration) -> Scalar:

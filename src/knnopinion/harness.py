@@ -369,8 +369,15 @@ def monte_carlo_consensus(
     )
 
 
-class NotClusteredError(ValueError):
+class NotClusteredError(ScenarioError):
     """The robustness experiments require a clustered base configuration."""
+
+
+def _require_clustered(base: Configuration, k: int) -> None:
+    if base.backend != EXACT:
+        raise NotClusteredError("base: base configuration must be exact to certify clustering")
+    if not is_clustered(base, k):
+        raise NotClusteredError("base: base configuration is not clustered for this k")
 
 
 @dataclass
@@ -468,10 +475,7 @@ def robustness_addition(
     the optional ABC side-by-side run, mirroring the shared update order of
     the comparison experiment.
     """
-    if base.backend != EXACT:
-        raise NotClusteredError("base configuration must be exact to certify clustering")
-    if not is_clustered(base, k):
-        raise NotClusteredError("base configuration is not clustered for this k")
+    _require_clustered(base, k)
     base_floats = [float(v) for v in base.opinions]
     knn_report = _run_addition(
         base_floats, ModelSpec(kind="knn", k=k), additions, schedule_seed, max_steps, tol
@@ -518,10 +522,7 @@ def robustness_removal(
     an equilibrium iff the victim's cluster had at least k+1 members; when it
     does not, the dynamics are resumed (float, uniform schedule) and the new
     limit is reported."""
-    if base.backend != EXACT:
-        raise NotClusteredError("base configuration must be exact to certify clustering")
-    if not is_clustered(base, k):
-        raise NotClusteredError("base configuration is not clustered for this k")
+    _require_clustered(base, k)
     victim_opinion = base.opinion(remove_id)
     part = partition_clusters(base)
     victim_size = next(len(m) for op, m in part.groups if op == victim_opinion)

@@ -23,6 +23,7 @@ A configuration never mixes the two backends.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -73,17 +74,6 @@ def coerce_all(values: Sequence) -> tuple[list, str]:
     return [v if isinstance(v, Fraction) else Fraction(v) for v in values], EXACT
 
 
-def same_backend(a: Scalar, b: Scalar) -> str:
-    ba, bb = backend_of(a), backend_of(b)
-    if isinstance(a, int) and not isinstance(a, Fraction):
-        ba = bb
-    if isinstance(b, int) and not isinstance(b, Fraction):
-        bb = ba
-    if ba != bb:
-        raise BackendError("cannot mix exact and float scalars")
-    return ba
-
-
 def common_numerators(values: Sequence) -> tuple[list, int]:
     """Exact values (Fractions or ints) as integer numerators over their
     least common denominator: ([p * (D // q) for p/q in values], D)."""
@@ -115,23 +105,20 @@ def mean_of(values: Sequence[Scalar]) -> Scalar:
     return min(max(m, lo), hi)
 
 
-def abs_diff(a: Scalar, b: Scalar) -> Scalar:
-    same_backend(a, b)
-    d = a - b
-    return -d if d < 0 else d
-
-
 def parse_scalar(raw) -> Scalar:
     """Parse a scalar from a JSON value.
 
     "p/q" strings and ints are exact; JSON floats are float-backend. Python's
     json reads NaN and Infinity, so non-finite floats are rejected here, as
-    are malformed strings and zero denominators (ValueError).
+    are malformed strings, zero denominators and rationals too large for a
+    float, which float runs, robustness bases and plots convert to (ValueError).
     """
     if isinstance(raw, float):
         if not math.isfinite(raw):
             raise ValueError(f"{raw!r} is not a finite number")
         return raw
+    if isinstance(raw, bool):
+        raise BackendError("bool is not a scalar opinion")
     if isinstance(raw, str):
         num, sep, den = raw.partition("/")
         try:
@@ -140,12 +127,14 @@ def parse_scalar(raw) -> Scalar:
             raise ValueError(f"{raw!r} is not an integer or 'p/q' rational") from None
         if q == 0:
             raise ValueError(f"{raw!r} has a zero denominator")
-        return Fraction(p, q)
-    if isinstance(raw, bool):
-        raise BackendError("bool is not a scalar opinion")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    raise BackendError(f"cannot parse scalar from {raw!r}")
+    elif isinstance(raw, int):
+        p, q = raw, 1
+    else:
+        raise BackendError(f"cannot parse scalar from {raw!r}")
+    value = Fraction(p, q)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("magnitude exceeds the largest finite float")
+    return value
 
 
 def format_scalar(value: Scalar) -> str:

@@ -28,6 +28,9 @@ schedule kinds: uniform_random {seed}; explicit {agents: [id, ...]};
 shrink {} (k-NN only; repeats the 2k-2 step mu/M pattern).
 event kinds: add {step, opinion: number | "p/q" | uniform_random descriptor};
 remove {step, agent}.
+
+The CLI's other documents parse here too: parse_configuration (classify),
+parse_robustness (robustness add|remove) and parse_grid (sweep).
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .dynamics import Configuration
 from .numerics import FLOAT, BackendError, coerce_all, format_scalar, parse_scalar
+from .rng import SeededRng
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_TOL = 1e-9
@@ -342,6 +347,87 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     )
     validate_scenario(spec)
     return spec
+
+
+def parse_grid(raw) -> list:
+    """A sweep grid: a JSON array of scenario documents. An entry's error
+    names its index, as in `[1].model.k: ...`."""
+    _require(isinstance(raw, list), "grid", "must be a JSON array of scenarios")
+    specs = []
+    for i, entry in enumerate(raw):
+        try:
+            specs.append(parse_scenario(entry))
+        except ScenarioError as exc:
+            raise ScenarioError(f"[{i}].{exc}") from None
+    return specs
+
+
+def parse_configuration(raw, where="") -> Configuration:
+    """A JSON array of opinions, or an object with `opinions` or `groups`,
+    parsed as an explicit or clusters initial state; `where` prefixes the
+    field names in error messages ("base." for a robustness base)."""
+    if isinstance(raw, list):
+        raw = {"opinions": raw}
+    _require(isinstance(raw, dict) and ("opinions" in raw or "groups" in raw),
+             where[:-1] or "configuration",
+             "must be a JSON array or an object with 'opinions' or 'groups'")
+    kind = "clusters" if "groups" in raw else "explicit"
+    return Configuration(parse_initial(dict(raw, kind=kind), where).fixed_opinions())
+
+
+def _count(raw, name, default, least):
+    value = raw.get(name, default)
+    _require(int_at_least(value, least), name, f"must be an integer >= {least}")
+    return value
+
+
+def _parse_additions(raw_additions, seed, max_steps) -> list:
+    """(step, float opinion) pairs; uniform_random opinions are drawn here,
+    in list order, from the seed's "additions" substream."""
+    _require(isinstance(raw_additions, list), "additions", "must be a list")
+    rng = SeededRng(seed).derive("additions")
+    additions = []
+    for i, entry in enumerate(raw_additions):
+        event = parse_add_event(entry, f"additions[{i}]")
+        # a run applies one event per step
+        _require(not additions or event.step > additions[-1][0], f"additions[{i}].step",
+                 "must be greater than the step of the addition before it")
+        _require(event.step <= max_steps, f"additions[{i}].step",
+                 f"step {event.step} is past max_steps={max_steps}; it would never fire")
+        value = event.opinion
+        if isinstance(value, tuple):   # ("uniform_random", low, high)
+            value = rng.uniform(value[1], value[2])
+        additions.append((event.step, float(value)))
+    return additions
+
+
+def parse_robustness(raw, mode) -> dict:
+    """A `robustness add|remove` document as the keyword arguments of
+    harness.robustness_addition (mode "add") or robustness_removal
+    ("remove"). Whether the base is clustered is left to those two."""
+    _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
+    _require("base" in raw, "base", "is required")
+    base = parse_configuration(raw["base"], "base.")
+    k = _count(raw, "k", None, 1)
+    _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
+    abc_d = raw.get("abc_d")
+    if abc_d is not None:
+        abc_d = parse_scalar_field(abc_d, "abc_d")
+        _require(abc_d >= 0, "abc_d", "must be >= 0")
+    max_steps = _count(raw, "max_steps", 10**5, 0)
+    tol = _finite_float(raw.get("tol", 1e-12 if mode == "add" else 1e-9), "tol")
+    _require(tol > 0, "tol", "must be positive")
+    kwargs = dict(base=base, k=k, abc_d=abc_d, schedule_seed=raw.get("schedule_seed", 0),
+                  max_steps=max_steps, tol=tol)
+    if mode == "add":
+        kwargs["additions"] = _parse_additions(raw.get("additions", []),
+                                               raw.get("addition_seed", 0), max_steps)
+    else:
+        remove = _count(raw, "remove", None, 1)
+        _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
+        _require(k < base.n, "k", f"must be below n={base.n}: the removal leaves n-1 agents")
+        kwargs["remove_id"] = remove
+    return kwargs
 
 
 def load_scenario(path) -> ScenarioSpec:

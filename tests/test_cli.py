@@ -305,6 +305,8 @@ ROBUST_REMOVE = {
                                         {"step": 3, "opinion": 0.9}]), "additions[1].step"),
     ("add", dict(ROBUST_ADD, additions=[{"step": 3, "opinion": 0.7},
                                         {"step": 2, "opinion": 0.9}]), "additions[1].step"),
+    ("add", dict(ROBUST_ADD, max_steps=5, additions=[{"step": 9, "opinion": 0.7}]),
+     "additions[0].step"),
 ])
 def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
     spec = write_json(tmp_path / "r.json", document)
@@ -446,3 +448,40 @@ def test_classify_and_robustness_name_the_bad_field(tmp_path, capsys, argv, docu
     flag = "--config" if argv[0] == "classify" else "--spec"
     assert main(argv + [flag, path]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_sweep_error_names_the_grid_index(tmp_path, capsys):
+    small = dict(SCENARIO, max_steps=10)
+    bad = dict(small, initial={"kind": "explicit", "opinions": [0.1, 0.9]},
+               model={"kind": "knn", "k": 5})
+    grid = write_json(tmp_path / "g.json", [small, bad])
+    assert main(["sweep", "--grid", grid]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: [1].model.k: ")
+
+
+def test_figures_checks_max_steps_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "figs"
+    assert main(["figures", "--out", str(out), "--max-steps", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --max-steps: ")
+    assert not out.exists()
+
+
+HUGE = "1" + "0" * 400   # an integer above the largest finite float
+
+
+@pytest.mark.parametrize("argv, document, field", [
+    (["robustness", "add"], dict(ROBUST_ADD, additions=[{"step": 2, "opinion": HUGE}]),
+     "additions[0].opinion"),
+    (["robustness", "add"], dict(ROBUST_ADD, base=["2/5"] * 5 + [HUGE]), "base.opinions[5]"),
+    (["simulate"], dict(SCENARIO, events=[dict(ADD_EVENT, opinion=HUGE + "/1")]),
+     "events[0].opinion"),
+    (["simulate"], dict(SCENARIO, initial={"kind": "explicit", "opinions": ["0/1", "1/2", HUGE]},
+                        max_steps=10), "initial.opinions[2]"),
+])
+def test_rationals_outside_the_float_range_are_rejected(tmp_path, capsys, argv, document,
+                                                        field):
+    path = write_json(tmp_path / "doc.json", document)
+    out = tmp_path / "out"
+    assert main(argv + ["--spec", path, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "doc.json"]

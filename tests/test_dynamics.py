@@ -13,7 +13,6 @@ from knnopinion.dynamics import (
     ParameterError,
     abc_update,
     diameter,
-    interaction_graph,
     knn_indices,
     knn_neighbors,
     knn_update,
@@ -128,25 +127,6 @@ def test_abc_full_visibility_gives_global_mean():
 def test_abc_negative_d_rejected():
     with pytest.raises(ParameterError):
         abc_update(Configuration([F(0), F(1)]), 1, F(-1))
-
-
-def test_graph_complete_when_k_is_n():
-    x = Configuration([F(0), F(5), F(9)])
-    g = interaction_graph(x, 3)
-    assert g.edges == frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-
-
-def test_graph_k1_self_loops_only_for_distinct_opinions():
-    g = interaction_graph(Configuration([F(0), F(1)]), 1)
-    assert g.edges == frozenset({(1, 1), (2, 2)})
-
-
-def test_graph_three_agents():
-    g = interaction_graph(Configuration([F(0), F(1, 2), F(1)]), 2)
-    assert g.out_neighbors(1) == {1, 2}
-    assert g.out_neighbors(2) == {1, 2}
-    assert g.out_neighbors(3) == {2, 3}
-    assert "1 1\n1 2\n" in g.to_edge_list()
 
 
 def test_diameter():

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from knnopinion.cli import EXIT_OK, EXIT_USAGE, main
+from knnopinion.scenario import ScenarioError, parse_grid
 
 POOL = [None, True, False, -1, 0, 1, 2, 10, 0.5, -0.5, 1e-12, math.nan, math.inf,
         -math.inf, "", "x", "1/0", "1/2", "-3/4", "2/x", [], [1], [0.5, "1/3"], {},
@@ -166,3 +167,20 @@ def test_fuzzed_classify_documents_exit_cleanly(doc):
 def test_fuzzed_robustness_documents_exit_cleanly(case):
     mode, doc = case
     _run(lambda path, tmp: ["robustness", mode, "--spec", path], doc)
+
+
+GRID_LINE = re.compile(r"(?:grid|\[\d+\]\.([A-Za-z_]\w*)(?:\.\w+|\[\d+\])*): \S")
+
+
+@FUZZ
+@given(st.tuples(st.sampled_from(SCENARIOS), st.sampled_from(SCENARIOS)).map(list)
+       .flatmap(mutated))
+def test_fuzzed_grids_parse_or_name_the_entry(grid):
+    # parsing only: no scenario runs, so nothing can grow
+    try:
+        parse_grid(grid)
+    except ScenarioError as exc:
+        match = GRID_LINE.match(str(exc))
+        # group 1 is the field root of an entry, None for `grid: ...`; an
+        # entry replaced by a non-object is reported as `[i].scenario`
+        assert match and match.group(1) in FIELD_ROOTS | {"scenario", None}, str(exc)
