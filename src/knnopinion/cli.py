@@ -43,6 +43,7 @@ from .scenario import (
     ScheduleSpec,
     _require,
     int_at_least,
+    load_json,
     load_scenario,
     parse_configuration,
     parse_grid,
@@ -54,14 +55,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
 def _write_json(payload, path):
@@ -97,7 +90,7 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ParameterError("--tol: must be a finite positive number")
-    config = parse_configuration(_load_json(args.config))
+    config = parse_configuration(load_json(args.config))
     _require(1 <= args.k <= config.n, "--k", f"must be between 1 and n={config.n}")
     if config.backend == EXACT:
         report = is_equilibrium(config, args.k)
@@ -129,14 +122,14 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_robustness(args) -> int:
     run = robustness_addition if args.mode == "add" else robustness_removal
-    report = run(**parse_robustness(_load_json(args.spec), args.mode))
+    report = run(**parse_robustness(load_json(args.spec), args.mode))
     _write_json(report.to_jsonable(), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     _require(int_at_least(args.jobs, 1), "--jobs", "must be a positive integer")
-    result = batch_sweep(parse_grid(_load_json(args.grid)), jobs=args.jobs)
+    result = batch_sweep(parse_grid(load_json(args.grid)), jobs=args.jobs)
     _write_json(result.to_jsonable(), args.out)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from .dynamics import (
     knn_neighbors,
     knn_update,
 )
-from .numerics import EXACT, Scalar, common_numerators
+from .numerics import EXACT, Scalar
 from .rng import SeededRng
 
 MU = "MU"
@@ -74,9 +74,9 @@ def scan_trials(name: str, trials: int, case: Callable[[], Optional[dict]],
 
 def _order_keys(config: Configuration):
     """Per-agent keys that order like the opinions: the integer numerators
-    of an exact configuration, the floats themselves otherwise."""
+    an exact configuration carries, the floats themselves otherwise."""
     if config.backend == EXACT:
-        return common_numerators(config.opinions)[0]
+        return config.numerators()[0]
     return config.opinions
 
 

@@ -11,7 +11,10 @@ ABC rule: all agents within distance d, always including the agent itself.
 knn_indices is the literal rule: it sorts all n agents per call, and it is
 the oracle. On exact opinions it sorts by (|N_j - N_i|, j) over the integer
 numerators N of numerics.common_numerators; scaling by the positive common
-denominator keeps every distance order and every exact tie.
+denominator keeps every distance order and every exact tie. An exact
+Configuration carries its opinions as such numerators (N, D), so
+knn_neighbors and knn_update on it sort and average those ints without
+recomputing them.
 
 OpinionIndex gives the same answer in O(log n + k) for a run that updates
 one agent at a time. It keeps the opinions sorted as (value, position)
@@ -32,12 +35,21 @@ Agent ids are 1-based in every public interface.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import Scalar, coerce_all, common_numerators, mean_of
+from .numerics import (
+    EXACT,
+    Scalar,
+    coerce_all,
+    common_numerators,
+    mean_exact,
+    mean_float,
+    mean_of,
+)
 
 
 class ParameterError(ValueError):
@@ -45,9 +57,15 @@ class ParameterError(ValueError):
 
 
 class Configuration:
-    """Immutable vector of n opinions, agent ids 1..n, single backend."""
+    """Immutable vector of n opinions, agent ids 1..n, single backend.
 
-    __slots__ = ("opinions", "backend")
+    An exact configuration also holds its opinions as integer numerators
+    over a positive common denominator, (N, D) with opinions[j] == N[j] / D,
+    computed on first use and carried forward by replace(). D is a common
+    denominator, not necessarily the least one.
+    """
+
+    __slots__ = ("opinions", "backend", "_numerators")
 
     def __init__(self, opinions: Sequence):
         if len(opinions) == 0:
@@ -55,6 +73,7 @@ class Configuration:
         vals, backend = coerce_all(opinions)
         object.__setattr__(self, "opinions", tuple(vals))
         object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_numerators", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -70,6 +89,16 @@ class Configuration:
     def agents(self) -> range:
         return range(1, self.n + 1)
 
+    def numerators(self) -> tuple:
+        """(N, D) of an exact configuration: a tuple of ints and a positive
+        int D with opinions[j] == N[j] / D for every j."""
+        cache = self._numerators
+        if cache is None:
+            nums, den = common_numerators(self.opinions)
+            cache = (tuple(nums), den)
+            object.__setattr__(self, "_numerators", cache)
+        return cache
+
     def replace(self, i: int, value: Scalar) -> "Configuration":
         # value comes out of backend-preserving arithmetic, so the costly
         # re-coercion of Configuration() is skipped
@@ -79,6 +108,21 @@ class Configuration:
         out = object.__new__(Configuration)
         object.__setattr__(out, "opinions", tuple(ops))
         object.__setattr__(out, "backend", self.backend)
+        cache = self._numerators
+        if cache is not None:
+            # carry (N, D) forward; D' = lcm(D, q) rescales only when q does
+            # not divide D
+            nums, den = cache
+            p, q = value.as_integer_ratio()
+            if den % q:
+                scale = q // math.gcd(den, q)
+                nums = [m * scale for m in nums]
+                den *= scale
+            else:
+                nums = list(nums)
+            nums[i - 1] = p * (den // q)
+            cache = (tuple(nums), den)
+        object.__setattr__(out, "_numerators", cache)
         return out
 
     def without(self, i: int) -> "Configuration":
@@ -120,19 +164,21 @@ def _check_k(k: int, n: int) -> None:
 
 # Positional (0-based) primitives shared by the simulation hot loops.
 
+def _nearest_numerators(nums: Sequence[int], idx: int, k: int) -> list:
+    """knn_indices on the integer numerators of exact opinions."""
+    ni = nums[idx]
+    dists = [abs(m - ni) for m in nums]
+    # sorted() is stable, so equal distances stay in index order
+    return sorted(range(len(nums)), key=dists.__getitem__)[:k]
+
+
 def knn_indices(opinions: Sequence[Scalar], idx: int, k: int) -> list:
     """0-based indices of the k nearest opinions to opinions[idx], ties to
     the lower index. The positional order must match the agent-id order."""
     xi = opinions[idx]
-    n = len(opinions)
     if isinstance(xi, Fraction):
-        nums, _ = common_numerators(opinions)
-        ni = nums[idx]
-        dists = [abs(m - ni) for m in nums]
-        # sorted() is stable, so equal distances stay in index order
-        order = sorted(range(n), key=dists.__getitem__)
-    else:
-        order = sorted(range(n), key=lambda j: (abs(opinions[j] - xi), j))
+        return _nearest_numerators(common_numerators(opinions)[0], idx, k)
+    order = sorted(range(len(opinions)), key=lambda j: (abs(opinions[j] - xi), j))
     return order[:k]
 
 
@@ -209,27 +255,45 @@ def abc_updated_value(opinions: Sequence[Scalar], idx: int, d: Scalar) -> Scalar
     return mean_of([opinions[j] for j in abc_indices(opinions, idx, d)])
 
 
-# 1-based public operations over Configuration.
+# 1-based public operations over Configuration; an exact configuration's
+# neighbours and means come from its carried numerators.
+
+def _config_knn(config: Configuration, idx: int, k: int) -> list:
+    if config.backend == EXACT:
+        return _nearest_numerators(config.numerators()[0], idx, k)
+    return knn_indices(config.opinions, idx, k)
+
+
+def _config_mean(config: Configuration, idxs: list) -> Scalar:
+    if config.backend == EXACT:
+        nums, den = config.numerators()
+        return mean_exact([nums[j] for j in idxs], den)
+    ops = config.opinions
+    return mean_float([ops[j] for j in idxs])
+
 
 def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
     _check_k(k, config.n)
     config._check_agent(i)
-    idxs = knn_indices(config.opinions, i - 1, k)
+    idxs = _config_knn(config, i - 1, k)
     return NeighborSet(agent=i, members=tuple(j + 1 for j in idxs))
 
 
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:
     _check_k(k, config.n)
     config._check_agent(i)
-    return config.replace(i, knn_updated_value(config.opinions, i - 1, k))
+    return config.replace(i, _config_mean(config, _config_knn(config, i - 1, k)))
 
 
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
     config._check_agent(i)
     if d < 0:
         raise ParameterError("confidence range d must be >= 0")
-    return config.replace(i, abc_updated_value(config.opinions, i - 1, d))
+    return config.replace(i, _config_mean(config, abc_indices(config.opinions, i - 1, d)))
 
 
 def diameter(config: Configuration) -> Scalar:
+    if config.backend == EXACT:
+        nums, den = config.numerators()
+        return Fraction(max(nums) - min(nums), den)
     return max(config.opinions) - min(config.opinions)

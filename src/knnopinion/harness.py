@@ -19,11 +19,11 @@ from .dynamics import (
     Configuration,
     OpinionIndex,
     ParameterError,
+    abc_indices,
     abc_update,
-    abc_updated_value,
 )
 from .equilibria import is_clustered, is_equilibrium, partition_clusters, single_linkage_groups
-from .numerics import EXACT, FLOAT, Scalar, mean_of
+from .numerics import EXACT, FLOAT, Scalar, common_numerators, mean_exact, mean_float
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -76,17 +76,25 @@ def _build_initial(spec: InitialSpec):
     return list(config.opinions), config.backend
 
 
-def _updated_value(index: OpinionIndex, idx, model: ModelSpec) -> Scalar:
+def _mean_exact_values(values) -> Fraction:
+    return mean_exact(*common_numerators(values))
+
+
+def _updated_value(index: OpinionIndex, idx, model: ModelSpec, mean) -> Scalar:
+    """The opinion agent idx moves to; `mean` is the run's typed mean kernel,
+    mean_float or _mean_exact_values."""
     opinions = index.opinions
     if model.kind == "knn":
-        return mean_of([opinions[j] for j in index.knn(idx, model.k)])
-    return abc_updated_value(opinions, idx, model.d)
+        idxs = index.knn(idx, model.k)
+    else:
+        idxs = abc_indices(opinions, idx, model.d)
+    return mean([opinions[j] for j in idxs])
 
 
 def _is_exact_equilibrium(index: OpinionIndex, model: ModelSpec) -> bool:
     opinions = index.opinions
     return all(
-        _updated_value(index, idx, model) == opinions[idx]
+        _updated_value(index, idx, model, _mean_exact_values) == opinions[idx]
         for idx in range(len(opinions))
     )
 
@@ -97,7 +105,7 @@ def _max_probe_move(index: OpinionIndex, model: ModelSpec, ceiling: float) -> fl
     opinions = index.opinions
     worst = 0.0
     for idx in range(len(opinions)):
-        move = abs(_updated_value(index, idx, model) - opinions[idx])
+        move = abs(_updated_value(index, idx, model, mean_float) - opinions[idx])
         if move > worst:
             worst = move
             if worst >= ceiling:
@@ -160,6 +168,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     step cap. Deterministic: identical spec -> bit-identical record."""
     validate_scenario(spec)
     opinions, backend = _build_initial(spec.initial)
+    mean = mean_float if backend == FLOAT else _mean_exact_values
     ids = list(range(1, len(opinions) + 1))
     next_id = len(opinions) + 1
 
@@ -213,7 +222,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.stop_reason = STOP_SCHEDULE_EXHAUSTED
             break
 
-        index.move(updater_idx, _updated_value(index, updater_idx, spec.model))
+        index.move(updater_idx, _updated_value(index, updater_idx, spec.model, mean))
         record.updaters.append(ids[updater_idx])
         record.mins.append(index.min())
         record.maxs.append(index.max())

@@ -6,11 +6,16 @@ division by k grows denominators like k**t, so fixed-width would overflow
 within tens of steps).
 
 Exact kernels (k-NN distances, means, extremal agents) do not add or
-compare Fractions one by one: common_numerators writes the values as
-integer numerators over their least common denominator D, and the kernel
-works on those ints. Scaling by a positive D keeps every order and every
-tie, so results are the same as with Fraction arithmetic, and a mean is
-one Fraction(sum, D * len) with a single gcd.
+compare Fractions one by one: they work on the values written as integer
+numerators over a common denominator D (common_numerators gives the least
+one; a Configuration carries its own from step to step). Scaling by a
+positive D keeps every order and every tie, so results are the same as
+with Fraction arithmetic, and a mean is one Fraction(sum, D * len) with a
+single gcd.
+
+The backend is decided where a state is built (Configuration, simulate's
+backend); the hot paths then call the typed kernels mean_float and
+mean_exact. coerce_all and the dispatching mean_of serve the API edges.
 
 Float backend: IEEE-754 binary64.
 
@@ -82,15 +87,34 @@ def common_numerators(values: Sequence) -> tuple[list, int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def mean_of(values: Sequence[Scalar]) -> Scalar:
-    """Arithmetic mean. Exact backend returns the exact rational mean.
-
-    Two guards matter for the dynamics:
-    - if all values are identical the common value is returned untouched,
-      so a homogeneous neighborhood is a bit-exact fixed point under floats;
-    - the float mean is clamped to [min(values), max(values)] so rounding can
+def mean_float(values: Sequence[float]) -> float:
+    """Mean of a non-empty list of floats, with the two guards the dynamics
+    rely on:
+    - if all values are identical the first is returned untouched, so a
+      homogeneous neighborhood is a bit-exact fixed point (for non-NaN
+      floats, min == max holds exactly when all values compare equal);
+    - the mean is clamped to [min(values), max(values)] so rounding can
       never push an updated opinion outside its neighborhood hull.
     """
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return values[0]
+    m = sum(values) / len(values)
+    return min(max(m, lo), hi)
+
+
+def mean_exact(nums: Sequence[int], den: int) -> Fraction:
+    """Mean of the exact values nums[i] / den, for any positive common
+    denominator den: one Fraction with a single gcd."""
+    return Fraction(sum(nums), den * len(nums))
+
+
+def mean_of(values: Sequence[Scalar]) -> Scalar:
+    """Arithmetic mean of values of either backend, for callers that do not
+    know it; the hot paths call mean_float or mean_exact directly. A
+    homogeneous set returns its first value untouched, whatever its type.
+    The float branch spells out both guards literally, so that it stays
+    an oracle for mean_float."""
     if len(values) == 0:
         raise EmptyAggregationError("empty aggregation")
     first = values[0]
@@ -98,8 +122,7 @@ def mean_of(values: Sequence[Scalar]) -> Scalar:
         return first
     vals, kind = coerce_all(values)
     if kind == EXACT:
-        nums, den = common_numerators(vals)
-        return Fraction(sum(nums), den * len(vals))
+        return mean_exact(*common_numerators(vals))
     m = sum(vals) / len(vals)
     lo, hi = min(vals), max(vals)
     return min(max(m, lo), hi)

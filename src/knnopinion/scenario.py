@@ -309,6 +309,8 @@ def parse_add_event(raw, where) -> EventSpec:
         opinion = ("uniform_random",
                    _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
                    _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
+        _require(opinion[1] <= opinion[2], f"{where}.opinion.low",
+                 "must not exceed opinion.high")
     else:
         opinion = parse_scalar_field(op, f"{where}.opinion")
     return EventSpec(kind="add", step=step, opinion=opinion)
@@ -430,13 +432,21 @@ def parse_robustness(raw, mode) -> dict:
     return kwargs
 
 
-def load_scenario(path) -> ScenarioSpec:
+def load_json(path):
+    """The JSON document in the file at `path`. A document json cannot read
+    (malformed, or an integer past Python's digit limit) raises a
+    ScenarioError that names the path."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_scenario(raw)
+            raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
+
+
+def load_scenario(path) -> ScenarioSpec:
+    return parse_scenario(load_json(path))
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:

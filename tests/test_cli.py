@@ -307,11 +307,31 @@ ROBUST_REMOVE = {
                                         {"step": 2, "opinion": 0.9}]), "additions[1].step"),
     ("add", dict(ROBUST_ADD, max_steps=5, additions=[{"step": 9, "opinion": 0.7}]),
      "additions[0].step"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
+                                                                "low": 0.9, "high": 0.1}}]),
+     "additions[0].opinion.low"),
 ])
 def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
     spec = write_json(tmp_path / "r.json", document)
     assert main(["robustness", mode, "--spec", spec]) == EXIT_USAGE
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "{doc}", "--out", "{out}"],
+    ["classify", "--config", "{doc}", "--k", "1"],
+    ["robustness", "add", "--spec", "{doc}"],
+    ["sweep", "--grid", "{doc}"],
+])
+def test_unreadable_json_names_the_file(tmp_path, capsys, argv):
+    # json refuses integers of more than 4,300 digits with a bare ValueError
+    doc = tmp_path / "huge.json"
+    doc.write_text("[" + "1" * 5000 + "]")
+    argv = [a.format(doc=doc, out=tmp_path / "run") for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doc}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [doc]
 
 
 def test_robustness_accepts_rational_abc_d(tmp_path, capsys):

@@ -2,14 +2,16 @@
 (knn_indices, mean_of, mu_index, big_m_index, extremal_selection) against
 the literal Fraction rules, which stay the oracle here."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnopinion.convergence import big_m_index, extremal_selection, mu_index
-from knnopinion.dynamics import Configuration, knn_indices
-from knnopinion.numerics import common_numerators, mean_of
+from knnopinion.dynamics import (Configuration, diameter, knn_indices, knn_neighbors,
+                                 knn_update)
+from knnopinion.numerics import common_numerators, mean_exact, mean_float, mean_of
 
 F = Fraction
 # a shrink schedule divides by k at every step; 28 steps at k = 15 reach this
@@ -78,3 +80,70 @@ def test_extremal_indices_keep_float_behaviour():
     config = Configuration([0.5, -0.0, 0.0, 2.0, 2.0])
     assert mu_index(config) == 2
     assert big_m_index(config) == 4
+
+
+# Typed kernels and the numerators an exact Configuration carries, against
+# mean_of and against configurations built afresh.
+
+ZEROS = st.sampled_from([0.0, -0.0])
+COLLAPSING = st.sampled_from([1.0, 1.0 + 2 ** -52, 1.0 - 2 ** -53, 2 ** -60, 1e-17,
+                              -1e-17, 1e16, 1e16 + 2, 0.1, 0.2, 0.3])
+FLOATS = st.one_of(ZEROS, COLLAPSING,
+                   st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False))
+FLOAT_LISTS = st.one_of(
+    st.lists(FLOATS, min_size=1, max_size=12),
+    st.builds(lambda v, c: [v] * c, FLOATS, st.integers(min_value=1, max_value=12)),
+    # x and its neighbours one ulp away: the sum of such a list can round
+    # outside its hull, which the clamp must undo
+    st.builds(lambda x, offs: [math.nextafter(x, x + o) for o in offs],
+              st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3]), FLOATS),
+              st.lists(st.sampled_from([0, 1, -1]), min_size=2, max_size=12)),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(FLOAT_LISTS)
+@example([-0.0, 0.0])                          # the guard keeps the first zero's sign
+@example([0.1, 0.1 + 2 ** -56, 0.1, 0.1, 0.1, 0.1])   # the sum rounds below the hull
+def test_mean_float_matches_mean_of_bit_for_bit(values):
+    assert mean_float(values).hex() == mean_of(values).hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(STATES, st.integers(min_value=1, max_value=15 ** 3))
+def test_mean_exact_matches_fraction_sum(values, extra):
+    nums, den = common_numerators(values)
+    expected = sum(values, Fraction(0)) / len(values)
+    assert mean_exact(nums, den) == expected
+    # any positive common denominator will do, not only the least one
+    assert mean_exact([m * extra for m in nums], den * extra) == expected
+
+
+CHAIN_STEPS = st.lists(
+    st.one_of(st.tuples(st.just("update"), st.integers(min_value=0), st.integers(min_value=0)),
+              st.tuples(st.just("replace"), st.integers(min_value=0), EXACT)),
+    min_size=1, max_size=16)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(STATES, CHAIN_STEPS)
+def test_carried_numerators_match_a_fresh_configuration(values, steps):
+    state = Configuration(values)
+    for op, i, arg in steps:
+        agent = i % state.n + 1
+        if op == "update":
+            k = arg % state.n + 1
+            fresh = knn_update(Configuration(state.opinions), agent, k)
+            state = knn_update(state, agent, k)
+            assert state == fresh
+        else:
+            state = state.replace(agent, F(arg))
+        nums, den = state.numerators()
+        assert den >= 1
+        assert [F(m, den) for m in nums] == list(state.opinions)
+        again = Configuration(state.opinions)
+        assert mu_index(state) == mu_index(again)
+        assert big_m_index(state) == big_m_index(again)
+        assert diameter(state) == max(state.opinions) - min(state.opinions)
+        for k in range(1, state.n + 1):
+            assert knn_neighbors(state, agent, k) == knn_neighbors(again, agent, k)

@@ -1,7 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from knnopinion import numerics
+from knnopinion.convergence import run_shrink_schedule
 from knnopinion.dynamics import Configuration
 from knnopinion.equilibria import build_clustered
 from knnopinion.export import trajectory_to_csv
@@ -287,3 +290,48 @@ def test_batch_sweep_parallel_matches_serial():
     serial = batch_sweep(specs, jobs=1)
     parallel = batch_sweep(specs, jobs=2)
     assert serial.to_jsonable() == parallel.to_jsonable()
+
+
+@pytest.fixture
+def coerce_all_calls(monkeypatch):
+    """Counts coerce_all calls, wrapped in every knnopinion namespace that
+    binds it (a `from .numerics import coerce_all` binds it in the caller)."""
+    original = numerics.coerce_all
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "knnopinion" or name.startswith("knnopinion.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", [{"kind": "knn", "k": 5}, {"kind": "abc", "d": 0.2}])
+def test_simulate_decides_the_backend_once(coerce_all_calls, model):
+    counts, steps = [], []
+    for max_steps in (100, 1000):
+        spec = parse_scenario({
+            "model": model,
+            "initial": {"kind": "uniform_random", "n": 20, "low": 0.0, "high": 1.0, "seed": 5},
+            "schedule": {"kind": "uniform_random", "seed": 6},
+            "max_steps": max_steps, "tol": 1e-12, "record_every": max_steps,
+        })
+        coerce_all_calls.clear()
+        steps.append(simulate(spec).total_steps)
+        counts.append(len(coerce_all_calls))
+    assert steps[0] == 100 < steps[1]
+    assert counts[0] == counts[1]
+
+
+def test_shrink_schedule_on_a_built_configuration_never_coerces(coerce_all_calls):
+    rng = SeededRng("coerce-once")
+    config = Configuration([F(rng.randbelow(97), rng.randbelow(11) + 1) for _ in range(9)])
+    coerce_all_calls.clear()
+    run = run_shrink_schedule(config, 7)
+    assert len(run.states) == 13
+    assert coerce_all_calls == []
