@@ -21,7 +21,7 @@ from .dynamics import (
     knn_neighbors,
     knn_update,
 )
-from .numerics import EXACT, Scalar
+from .numerics import Scalar
 from .rng import SeededRng
 
 MU = "MU"
@@ -72,21 +72,13 @@ def scan_trials(name: str, trials: int, case: Callable[[], Optional[dict]],
     return VerifierReport(name=name, passed=True, detail=passed_detail)
 
 
-def _order_keys(config: Configuration):
-    """Per-agent keys that order like the opinions: the integer numerators
-    an exact configuration carries, the floats themselves otherwise."""
-    if config.backend == EXACT:
-        return config.numerators()[0]
-    return config.opinions
-
-
 def mu_index(config: Configuration) -> int:
-    keys = _order_keys(config)
+    keys = config.order_keys()
     return keys.index(min(keys)) + 1
 
 
 def big_m_index(config: Configuration) -> int:
-    keys = _order_keys(config)
+    keys = config.order_keys()
     return keys.index(max(keys)) + 1
 
 
@@ -94,7 +86,7 @@ def extremal_selection(config: Configuration, k: int) -> ExtremalSelection:
     _check_k(k, config.n)
     mu = mu_index(config)
     big_m = big_m_index(config)
-    keys = _order_keys(config)
+    keys = config.order_keys()
 
     def key(j):
         return keys[j - 1]
@@ -108,15 +100,11 @@ def reflect(config: Configuration) -> Configuration:
     return Configuration([-v for v in config.opinions])
 
 
-def random_exact_configuration(
-    n: int, rng: SeededRng, value_range: int = 24, denominator: Optional[int] = None
-) -> Configuration:
-    """Random rational opinions with a shared small denominator; the small
-    value range makes exact ties common, which exercises the tie rule."""
-    den = denominator if denominator is not None else rng.randbelow(12) + 1
-    return Configuration(
-        [Fraction(rng.randbelow(value_range * den + 1), den) for _ in range(n)]
-    )
+def random_exact_configuration(n: int, rng: SeededRng) -> Configuration:
+    """Random rational opinions in [0, 24] with a shared small denominator;
+    the small range makes exact ties common, which exercises the tie rule."""
+    den = rng.randbelow(12) + 1
+    return Configuration([Fraction(rng.randbelow(24 * den + 1), den) for _ in range(n)])
 
 
 def check_z_le_y(n: int, k: int, trials: int, seed) -> VerifierReport:
@@ -185,19 +173,12 @@ def run_shrink_schedule(config: Configuration, k: int) -> ScheduleRun:
     return run_schedule_tags(config, k, ShrinkSchedule(k).steps)
 
 
-def verify_lemma2_monotonicity(
-    config: Configuration,
-    k: int,
-    steps: int,
-    update_fn: Optional[Callable] = None,
-) -> VerifierReport:
+def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> VerifierReport:
     """All-mu schedule: the mu agent's neighbor set and its max opinion y
     stay constant; members only rise, never above y(0); non-members are
-    bit-constant. update_fn is injectable so a corrupted rule can be shown
-    to fail (mutation fixture)."""
+    bit-constant."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    update = update_fn if update_fn is not None else knn_update
 
     members0 = set(knn_neighbors(config, mu_index(config), k).members)
     y0 = max(config.opinion(j) for j in members0)
@@ -219,7 +200,7 @@ def verify_lemma2_monotonicity(
         y = max(state.opinion(j) for j in members)
         if y != y0:
             return fail(t, "y changed")
-        nxt = update(state, mu, k)
+        nxt = knn_update(state, mu, k)
         for j in config.agents():
             if j in members0:
                 if nxt.opinion(j) < state.opinion(j):

@@ -8,12 +8,14 @@ agent may or may not survive into its own neighbor set.
 
 ABC rule: all agents within distance d, always including the agent itself.
 
-knn_indices is the literal rule: it sorts all n agents per call, and it is
-the oracle. On exact opinions it sorts by (|N_j - N_i|, j) over the integer
-numerators N of numerics.common_numerators; scaling by the positive common
-denominator keeps every distance order and every exact tie. An exact
-Configuration carries its opinions as such numerators (N, D), so
-knn_neighbors and knn_update on it sort and average those ints without
+knn_indices is the literal rule and the oracle: one stable sort of all n
+agents by the computed distance abs(v - x_i), so equal distances stay in id
+order. Any totally ordered keys serve, floats or ints; a Fraction sequence
+is first written as the integer numerators N of numerics.common_numerators,
+since scaling by the positive common denominator keeps every distance order
+and every exact tie. Configuration.order_keys() owns that choice for a
+state: an exact Configuration carries its numerators (N, D), so
+knn_neighbors and knn_update sort and average those ints without
 recomputing them.
 
 OpinionIndex gives the same answer in O(log n + k) for a run that updates
@@ -43,12 +45,13 @@ from typing import Sequence
 
 from .numerics import (
     EXACT,
+    BackendError,
     Scalar,
+    backend_of,
     coerce_all,
     common_numerators,
     mean_exact,
     mean_float,
-    mean_of,
 )
 
 
@@ -78,6 +81,10 @@ class Configuration:
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked setattr
+        return (Configuration, (self.opinions,))
+
     @property
     def n(self) -> int:
         return len(self.opinions)
@@ -99,10 +106,22 @@ class Configuration:
             object.__setattr__(self, "_numerators", cache)
         return cache
 
+    def order_keys(self) -> Sequence:
+        """Per-agent keys that order and subtract like the opinions: the
+        carried integer numerators of an exact configuration, the floats
+        themselves otherwise."""
+        return self.numerators()[0] if self.backend == EXACT else self.opinions
+
     def replace(self, i: int, value: Scalar) -> "Configuration":
-        # value comes out of backend-preserving arithmetic, so the costly
-        # re-coercion of Configuration() is skipped
+        # only value is checked, so the costly re-coercion of Configuration()
+        # is skipped; a plain int converts as in coerce_all
         self._check_agent(i)
+        if type(value) is not (Fraction if self.backend == EXACT else float):
+            if isinstance(value, int) and not isinstance(value, bool):
+                value = Fraction(value) if self.backend == EXACT else float(value)
+            elif backend_of(value) != self.backend:
+                raise BackendError(
+                    f"cannot put a {backend_of(value)} value into a {self.backend} configuration")
         ops = list(self.opinions)
         ops[i - 1] = value
         out = object.__new__(Configuration)
@@ -164,22 +183,17 @@ def _check_k(k: int, n: int) -> None:
 
 # Positional (0-based) primitives shared by the simulation hot loops.
 
-def _nearest_numerators(nums: Sequence[int], idx: int, k: int) -> list:
-    """knn_indices on the integer numerators of exact opinions."""
-    ni = nums[idx]
-    dists = [abs(m - ni) for m in nums]
-    # sorted() is stable, so equal distances stay in index order
-    return sorted(range(len(nums)), key=dists.__getitem__)[:k]
-
-
-def knn_indices(opinions: Sequence[Scalar], idx: int, k: int) -> list:
+def knn_indices(opinions: Sequence, idx: int, k: int) -> list:
     """0-based indices of the k nearest opinions to opinions[idx], ties to
-    the lower index. The positional order must match the agent-id order."""
+    the lower index: one stable sort by the computed distance, over floats
+    or ints; Fractions are sorted as their common numerators. The positional
+    order must match the agent-id order."""
+    if isinstance(opinions[idx], Fraction):
+        opinions = common_numerators(opinions)[0]
     xi = opinions[idx]
-    if isinstance(xi, Fraction):
-        return _nearest_numerators(common_numerators(opinions)[0], idx, k)
-    order = sorted(range(len(opinions)), key=lambda j: (abs(opinions[j] - xi), j))
-    return order[:k]
+    dists = [abs(v - xi) for v in opinions]
+    # sorted() is stable, so equal distances stay in index order
+    return sorted(range(len(opinions)), key=dists.__getitem__)[:k]
 
 
 class OpinionIndex:
@@ -247,22 +261,8 @@ def abc_indices(opinions: Sequence[Scalar], idx: int, d: Scalar) -> list:
     return [j for j, xj in enumerate(opinions) if abs(xj - xi) <= d]
 
 
-def knn_updated_value(opinions: Sequence[Scalar], idx: int, k: int) -> Scalar:
-    return mean_of([opinions[j] for j in knn_indices(opinions, idx, k)])
-
-
-def abc_updated_value(opinions: Sequence[Scalar], idx: int, d: Scalar) -> Scalar:
-    return mean_of([opinions[j] for j in abc_indices(opinions, idx, d)])
-
-
 # 1-based public operations over Configuration; an exact configuration's
 # neighbours and means come from its carried numerators.
-
-def _config_knn(config: Configuration, idx: int, k: int) -> list:
-    if config.backend == EXACT:
-        return _nearest_numerators(config.numerators()[0], idx, k)
-    return knn_indices(config.opinions, idx, k)
-
 
 def _config_mean(config: Configuration, idxs: list) -> Scalar:
     if config.backend == EXACT:
@@ -275,14 +275,14 @@ def _config_mean(config: Configuration, idxs: list) -> Scalar:
 def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
     _check_k(k, config.n)
     config._check_agent(i)
-    idxs = _config_knn(config, i - 1, k)
+    idxs = knn_indices(config.order_keys(), i - 1, k)
     return NeighborSet(agent=i, members=tuple(j + 1 for j in idxs))
 
 
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:
     _check_k(k, config.n)
     config._check_agent(i)
-    return config.replace(i, _config_mean(config, _config_knn(config, i - 1, k)))
+    return config.replace(i, _config_mean(config, knn_indices(config.order_keys(), i - 1, k)))
 
 
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
@@ -293,7 +293,5 @@ def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
 
 
 def diameter(config: Configuration) -> Scalar:
-    if config.backend == EXACT:
-        nums, den = config.numerators()
-        return Fraction(max(nums) - min(nums), den)
-    return max(config.opinions) - min(config.opinions)
+    ops, keys = config.opinions, config.order_keys()
+    return ops[keys.index(max(keys))] - ops[keys.index(min(keys))]

@@ -152,21 +152,11 @@ def max_cluster_count(n: int, k: int) -> int:
     return n // k
 
 
-def build_clustered(groups, interleave: bool = False) -> Configuration:
-    """Configuration from (opinion, size) pairs; ids assigned in blocks, or
-    round-robin across groups when interleave is set."""
+def build_clustered(groups) -> Configuration:
+    """Configuration from (opinion, size) pairs, ids assigned in blocks."""
     if not groups:
         raise ParameterError("need at least one group")
-    if interleave:
-        pools = [[op] * size for op, size in groups]
-        ops = []
-        while any(pools):
-            for pool in pools:
-                if pool:
-                    ops.append(pool.pop())
-    else:
-        ops = [op for op, size in groups for _ in range(size)]
-    return Configuration(ops)
+    return Configuration([op for op, size in groups for _ in range(size)])
 
 
 def _check_alpha_beta(alpha: Scalar, beta: Scalar) -> None:

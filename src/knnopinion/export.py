@@ -50,11 +50,11 @@ def _series_by_agent(record: TrajectoryRecord) -> dict:
     return series
 
 
-def trajectory_to_svg(record: TrajectoryRecord, width: int = 640, height: int = 400) -> str:
-    """One polyline per agent, time on x, opinion on y. Agents appearing
-    mid-run (additions) start where they appear."""
+def trajectory_to_svg(record: TrajectoryRecord) -> str:
+    """One polyline per agent, time on x, opinion on y, on a 640x400 canvas.
+    Agents appearing mid-run (additions) start where they appear."""
     series = _series_by_agent(record)
-    margin = 40.0
+    width, height, margin = 640, 400, 40.0
     max_step = max(record.recorded_steps[-1], 1)
     all_vals = [v for pts in series.values() for _, v in pts]
     lo, hi = min(all_vals), max(all_vals)

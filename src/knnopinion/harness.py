@@ -91,21 +91,14 @@ def _updated_value(index: OpinionIndex, idx, model: ModelSpec, mean) -> Scalar:
     return mean([opinions[j] for j in idxs])
 
 
-def _is_exact_equilibrium(index: OpinionIndex, model: ModelSpec) -> bool:
-    opinions = index.opinions
-    return all(
-        _updated_value(index, idx, model, _mean_exact_values) == opinions[idx]
-        for idx in range(len(opinions))
-    )
-
-
-def _max_probe_move(index: OpinionIndex, model: ModelSpec, ceiling: float) -> float:
-    """Largest single-agent update displacement; bails out early once any
-    probe reaches the ceiling."""
+def _max_probe_move(index: OpinionIndex, model: ModelSpec, mean, ceiling) -> Scalar:
+    """Largest single-agent update displacement, with `mean` the run's typed
+    mean kernel; bails out at the first probe that reaches the ceiling, so
+    with ceiling 0 it stops at the first agent that moves."""
     opinions = index.opinions
     worst = 0.0
     for idx in range(len(opinions)):
-        move = abs(_updated_value(index, idx, model, mean_float) - opinions[idx])
+        move = abs(_updated_value(index, idx, model, mean) - opinions[idx])
         if move > worst:
             worst = move
             if worst >= ceiling:
@@ -124,7 +117,7 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
     roundoff, the signature of a genuine non-clustered equilibrium rather
     than a state still drifting toward a cluster merge.
     """
-    move = _max_probe_move(index, model, tol)
+    move = _max_probe_move(index, model, mean_float, tol)
     if move >= tol:
         return False
     opinions = index.opinions
@@ -204,7 +197,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
 
         if t >= last_event_step and _check_due(t, len(ids)):
             if backend == EXACT:
-                if _is_exact_equilibrium(index, spec.model):
+                if _max_probe_move(index, spec.model, mean, 0) == 0:
                     record.stop_reason = STOP_EQUILIBRIUM
                     break
             elif _float_converged(index, spec.model, spec.tol):

@@ -8,10 +8,10 @@ within tens of steps).
 Exact kernels (k-NN distances, means, extremal agents) do not add or
 compare Fractions one by one: they work on the values written as integer
 numerators over a common denominator D (common_numerators gives the least
-one; a Configuration carries its own from step to step). Scaling by a
-positive D keeps every order and every tie, so results are the same as
-with Fraction arithmetic, and a mean is one Fraction(sum, D * len) with a
-single gcd.
+one; a Configuration carries its own from step to step and hands them out
+as its order_keys()). Scaling by a positive D keeps every order and every
+tie, so results are the same as with Fraction arithmetic, and a mean is one
+Fraction(sum, D * len) with a single gcd.
 
 The backend is decided where a state is built (Configuration, simulate's
 backend); the hot paths then call the typed kernels mean_float and

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnopinion import convergence
 from knnopinion.convergence import (
     ShrinkSchedule,
     check_z_le_y,
@@ -127,14 +128,13 @@ def test_mu_monotonicity_random():
         assert report.passed, report.detail
 
 
-def test_mu_monotonicity_detects_corrupted_update():
+def test_mu_monotonicity_detects_corrupted_update(monkeypatch):
     def corrupted(config, i, k):
         # pushes the updater past its neighborhood max
         return config.replace(i, max(config.opinions) + 1)
 
-    report = verify_lemma2_monotonicity(
-        Configuration([F(0), F(1, 2), F(1)]), 2, steps=3, update_fn=corrupted
-    )
+    monkeypatch.setattr(convergence, "knn_update", corrupted)
+    report = verify_lemma2_monotonicity(Configuration([F(0), F(1, 2), F(1)]), 2, steps=3)
     assert not report.passed
     assert "reason" in report.detail
 

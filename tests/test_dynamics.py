@@ -1,7 +1,8 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 from itertools import combinations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from knnopinion.dynamics import (
     knn_update,
 )
 from knnopinion.equilibria import build_example1
+from knnopinion.numerics import BackendError
 from knnopinion.rng import SeededRng
 
 F = Fraction
@@ -145,6 +147,35 @@ def test_parameter_errors():
         Configuration([])
 
 
+@pytest.mark.parametrize("config", [
+    Configuration([F(1, 3), F(0), 2]),
+    Configuration([0.5, -0.0, 2.0, 0.0]),
+    # carries numerators over D = 4, not the least denominator 2
+    knn_update(Configuration([F(0), F(1, 2), F(1)]), 1, 2).replace(1, F(1, 2)),
+], ids=["exact", "float", "exact-carrying-numerators"])
+def test_configuration_pickles_and_copies(config):
+    for twin in (pickle.loads(pickle.dumps(config)), copy.copy(config), copy.deepcopy(config)):
+        assert twin == config and twin.backend == config.backend
+        assert repr(twin.opinions) == repr(config.opinions)  # keeps the sign of zero
+        if config.backend == "exact":
+            nums, den = twin.numerators()
+            assert [F(m, den) for m in nums] == list(config.opinions)
+            assert knn_update(twin, 2, 3) == knn_update(config, 2, 3)
+
+
+def test_replace_keeps_one_backend():
+    exact, floats = Configuration([F(1), F(2)]), Configuration([1.0, 2.0])
+    for config, value in ((exact, 0.5), (floats, F(1, 2)), (exact, True), (floats, False)):
+        with pytest.raises(BackendError):
+            config.replace(1, value)
+    # a plain int takes the configuration's backend, as in Configuration()
+    assert type(exact.replace(1, 3).opinion(1)) is Fraction
+    assert repr(floats.replace(2, 3).opinions) == "(1.0, 3.0)"
+    exact.numerators()
+    nums, den = exact.replace(2, 5).numerators()
+    assert (list(nums), den) == ([1, 5], 1)
+
+
 # Differential tests of the sorted opinion index against the sort-based
 # knn_indices oracle: same neighbours, in the same order, for every agent and
 # every k, on inputs built to stress the window search.
@@ -168,6 +199,23 @@ COLLAPSED = st.sampled_from([1.0, 0.0, 2.0 ** -61, 2.0 ** -60, 2.0,
                              1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 3.0 * 2.0 ** -61])
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 VALUES = st.one_of(FLOATS, TIED, SIGNED_ZEROS, COLLAPSED)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(
+    st.lists(FLOATS, min_size=1, max_size=10),
+    st.lists(TIED, min_size=1, max_size=12),
+    st.lists(SIGNED_ZEROS, min_size=1, max_size=12),
+    st.lists(COLLAPSED, min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70), min_size=1, max_size=10),
+))
+def test_knn_indices_is_the_literal_rule(x):
+    n = len(x)
+    for i in range(n):
+        oracle = sorted(range(n), key=lambda j: (abs(x[j] - x[i]), j))
+        for k in range(1, n + 1):
+            assert knn_indices(x, i, k) == oracle[:k]
 
 
 @settings(max_examples=150)

@@ -5,7 +5,7 @@ import pytest
 
 from knnopinion import numerics
 from knnopinion.convergence import run_shrink_schedule
-from knnopinion.dynamics import Configuration
+from knnopinion.dynamics import Configuration, OpinionIndex
 from knnopinion.equilibria import build_clustered
 from knnopinion.export import trajectory_to_csv
 from knnopinion.harness import (
@@ -60,6 +60,25 @@ def test_exact_backend_detects_equilibrium():
     rec = simulate(ScenarioSpec(**{**spec.__dict__, "model": ModelSpec(kind="knn", k=3)}))
     assert rec.stop_reason == STOP_EQUILIBRIUM
     assert rec.backend == "exact"
+
+
+@pytest.mark.parametrize("opinions, k, probes, stop", [
+    ((F(0), F(1), F(3)), 2, 1, STOP_MAX_STEPS),  # agent 1 moves by 1/2 and ends the probe
+    ((F(0), F(1), F(0), F(1), F(0), F(1), F(1, 2)), 3, 7, STOP_EQUILIBRIUM),
+])
+def test_exact_probe_stops_at_the_first_agent_that_moves(monkeypatch, opinions, k, probes, stop):
+    calls = []
+    knn = OpinionIndex.knn
+
+    def counted(index, idx, k):
+        calls.append(idx)
+        return knn(index, idx, k)
+
+    monkeypatch.setattr(OpinionIndex, "knn", counted)
+    spec = knn_spec(model=ModelSpec(kind="knn", k=k), max_steps=0,
+                    initial=InitialSpec(kind="explicit", opinions=opinions))
+    assert simulate(spec).stop_reason == stop
+    assert calls == list(range(probes))
 
 
 def test_shrink_schedule_spec_matches_library_run():

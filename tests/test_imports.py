@@ -1,8 +1,13 @@
-"""No module of the package imports a name it never uses, and no module
-defines a private (`_name`) function or class that nothing in it refers to.
+"""No module of the package imports a name it never uses, no module
+defines a private (`_name`) function or class that nothing in it refers to,
+and no public module-level function or class goes unnamed in `src/` and
+`tests/`.
 
 The project ships no linter, so these stdlib `ast` checks stand in for one.
 `__init__.py` is exempt from the import rule: its imports are the public API.
+A public name counts as used where code names it (a name or an attribute),
+not where it is only imported or re-exported; perfbench is not scanned, so
+its span list keeps no function alive.
 """
 
 import ast
@@ -14,6 +19,7 @@ import knnopinion
 
 PACKAGE = Path(knnopinion.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -56,3 +62,31 @@ def test_the_private_check_sees_unreferenced_definitions():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_refers_to_every_private_definition(module):
     assert unreferenced_privates((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def unnamed_publics(definitions: str, sources: list) -> list:
+    """Public module-level functions and classes of `definitions` that no
+    name or attribute in `sources` refers to."""
+    public = {node.name for node in ast.parse(definitions).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(public - named)
+
+
+def test_the_public_check_sees_unnamed_definitions():
+    module = "def called(): pass\ndef dead(): pass\nclass Dead: pass\nclass Used: pass\n"
+    callers = ["from m import called, dead, Dead\ncalled()\n", "import m\nm.Used()\n"]
+    assert unnamed_publics(module, [module, *callers]) == ["Dead", "dead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_public_definitions_are_named_somewhere(module):
+    sources = [p.read_text() for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]]
+    assert unnamed_publics((PACKAGE / f"{module}.py").read_text(), sources) == []
