@@ -4,23 +4,40 @@ hand-rolled SVG line plot, plus the JSON metadata sidecar.
 CSV contract: header ``step,agent_id,opinion``; one row per present agent at
 every recorded step; agent ids are 1-based; floats carry 17 significant
 digits, rationals print as ``p/q``. Rows are ordered by step, then agent id.
+Unchanged opinions, by identity, reuse their text from the previous snapshot.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 
 from .harness import TrajectoryRecord
-from .numerics import format_scalar
+from .numerics import FLOAT, format_scalar
 
 CSV_HEADER = "step,agent_id,opinion"
 
 
+def _snapshot_texts(record: TrajectoryRecord, text):
+    """Yield each snapshot's ids with ``text(agent, opinion)`` of its entries.
+    While the ids stay the same, an opinion that is the same object as in the
+    previous snapshot keeps its text: identity, not ==, since 0.0 == -0.0."""
+    prev_ids = prev_opinions = prev_texts = None
+    for ids, opinions in record.snapshots:
+        if ids != prev_ids:   # no opinion is None, so every entry is formatted
+            prev_opinions = prev_texts = (None,) * len(ids)
+        texts = [t if v is p else text(a, v)
+                 for a, v, p, t in zip(ids, opinions, prev_opinions, prev_texts)]
+        yield ids, texts
+        prev_ids, prev_opinions, prev_texts = ids, opinions, texts
+
+
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
+    fmt = "{:.17g}".format if record.backend == FLOAT else format_scalar
     lines = [CSV_HEADER]
-    for step, (ids, opinions) in zip(record.recorded_steps, record.snapshots):
-        for agent, opinion in zip(ids, opinions):
-            lines.append(f"{step},{agent},{format_scalar(opinion)}")
+    rows = _snapshot_texts(record, lambda agent, v: f"{agent},{fmt(v)}")
+    for step, (_, texts) in zip(record.recorded_steps, rows):
+        lines.append(f"{step}," + f"\n{step},".join(texts))
     return "\n".join(lines) + "\n"
 
 
@@ -34,41 +51,29 @@ def trajectory_metadata(record: TrajectoryRecord, spec=None) -> dict:
         "final_ids": list(record.final_ids),
         "final_opinions": [format_scalar(v) for v in record.final_opinions],
         "events": record.events_log,
-        "initial_diameter": format_scalar(record.diameters[0]),
-        "final_diameter": format_scalar(record.diameters[-1]),
+        "initial_diameter": format_scalar(record.maxs[0] - record.mins[0]),
+        "final_diameter": format_scalar(record.maxs[-1] - record.mins[-1]),
     }
     if spec is not None:
         meta["scenario"] = spec.to_dict()
     return meta
 
 
-def _series_by_agent(record: TrajectoryRecord) -> dict:
-    series: dict = {}
-    for step, (ids, opinions) in zip(record.recorded_steps, record.snapshots):
-        for agent, opinion in zip(ids, opinions):
-            series.setdefault(agent, []).append((step, float(opinion)))
-    return series
-
-
 def trajectory_to_svg(record: TrajectoryRecord) -> str:
     """One polyline per agent, time on x, opinion on y, on a 640x400 canvas.
     Agents appearing mid-run (additions) start where they appear."""
-    series = _series_by_agent(record)
     width, height, margin = 640, 400, 40.0
     max_step = max(record.recorded_steps[-1], 1)
-    all_vals = [v for pts in series.values() for _, v in pts]
-    lo, hi = min(all_vals), max(all_vals)
+    lo = float(min(min(opinions) for _, opinions in record.snapshots))
+    hi = float(max(max(opinions) for _, opinions in record.snapshots))
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
-    span_x = width - 2 * margin
+    elif 0 in (lo, hi):
+        # the label keeps the sign of the first zero by agent id, then by step
+        zero = min((a, i, v) for i, (ids, opinions) in enumerate(record.snapshots)
+                   for a, v in zip(ids, opinions) if v == 0)[2]
+        lo, hi = (float(zero), hi) if lo == 0 else (lo, float(zero))
     span_y = height - 2 * margin
-
-    def px(step):
-        return margin + span_x * step / max_step
-
-    def py(value):
-        return height - margin - span_y * (value - lo) / (hi - lo)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -84,12 +89,17 @@ def trajectory_to_svg(record: TrajectoryRecord) -> str:
     ]
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
-    for agent in sorted(series):
-        pts = " ".join(f"{px(s):.2f},{py(v):.2f}" for s, v in series[agent])
+    y_texts = _snapshot_texts(
+        record, lambda _, v: f"{height - margin - span_y * (float(v) - lo) / (hi - lo):.2f}")
+    points = defaultdict(list)
+    for step, (ids, texts) in zip(record.recorded_steps, y_texts):
+        x = f"{margin + (width - 2 * margin) * step / max_step:.2f},"
+        for agent, y in zip(ids, texts):
+            points[agent].append(x + y)
+    for agent in sorted(points):
         color = palette[(agent - 1) % len(palette)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
-        )
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
+                     f'points="{" ".join(points[agent])}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -1,0 +1,109 @@
+"""The exporters against the literal ones in `reference_export`, and the
+route `write_run_outputs` takes through them.
+
+Records are built the way `simulate` builds them: one mutable state, each
+snapshot a tuple of it, so an opinion nobody moved is the same object in
+consecutive snapshots. Hypothesis draws float and exact records with moves,
+add and remove events (the ids change mid-run), record_every 1 to 3 and
+opinions from pools that hold both zeros, so an opinion can flip between
+0.0 and -0.0, which are equal but print differently. The CSV and SVG must
+match the literal writers byte for byte.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from knnopinion import export
+from knnopinion.harness import TrajectoryRecord, simulate
+from knnopinion.numerics import EXACT, FLOAT
+from knnopinion.scenario import parse_scenario
+from reference_export import reference_csv, reference_svg
+
+FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.25, 0.1, 0.3, 2.0 ** -60]
+RATIONALS = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 3), F(2, 3), F(1, 4)]
+
+
+def record_of(backend, states, record_every=1):
+    """A record of consecutive (ids, opinions) states, snapshotted every
+    `record_every` steps and at the last one."""
+    record = TrajectoryRecord(name="drawn", backend=backend)
+    last = len(states) - 1
+    for step, (ids, opinions) in enumerate(states):
+        if step % record_every == 0 or step == last:
+            record.recorded_steps.append(step)
+            record.snapshots.append((tuple(ids), tuple(opinions)))
+    return record
+
+
+@st.composite
+def records(draw):
+    exact = draw(st.booleans())
+    pool = st.sampled_from(RATIONALS) if exact else (
+        st.sampled_from(FLOATS) | st.floats(-2, 2, allow_nan=False))
+    n = draw(st.integers(1, 6))
+    ids, opinions = list(range(1, n + 1)), draw(st.lists(pool, min_size=n, max_size=n))
+    next_id = n + 1
+    states = [(list(ids), list(opinions))]
+    for _ in range(draw(st.integers(0, 30))):
+        event = draw(st.sampled_from([None] * 4 + ["add", "remove"]))
+        if event == "add":
+            ids.append(next_id)
+            next_id += 1
+            opinions.append(draw(pool))
+        elif event == "remove" and len(ids) > 1:
+            pos = draw(st.integers(0, len(ids) - 1))
+            del ids[pos], opinions[pos]
+        opinions[draw(st.integers(0, len(ids) - 1))] = draw(pool)
+        states.append((list(ids), list(opinions)))
+    # states share their opinion objects, as simulate's snapshots do
+    return record_of(EXACT if exact else FLOAT, states, draw(st.sampled_from([1, 1, 2, 3])))
+
+
+FLIPPING_ZERO = record_of(FLOAT, [([1, 2], [0.5, 0.0]), ([1, 2], [0.5, -0.0]),
+                                  ([1, 2], [0.5, 0.0]), ([1, 2], [-0.0, 0.0])])
+CONSTANT = record_of(EXACT, [([1, 2, 3], [F(1, 3)] * 3)] * 4)
+# the first zero in snapshot order is -0.0, but agent 1's 0.0 comes first
+# agent by agent, and the range label keeps that one's sign
+ZERO_LOW = record_of(FLOAT, [([1, 2], [0.5, -0.0]), ([1, 2], [0.0, -0.0])])
+ZERO_HIGH = record_of(FLOAT, [([1, 2], [-0.5, -0.0]), ([1, 2], [0.0, -0.0])])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(records())
+@example(FLIPPING_ZERO)
+@example(CONSTANT)
+@example(ZERO_LOW)
+@example(ZERO_HIGH)
+def test_exporters_match_the_literal_writers(record):
+    assert export.trajectory_to_csv(record) == reference_csv(record)
+    assert export.trajectory_to_svg(record) == reference_svg(record)
+
+
+def test_the_examples_reach_the_cases_they_name():
+    assert export.trajectory_to_csv(FLIPPING_ZERO).splitlines()[1:] == [
+        "0,1,0.5", "0,2,0", "1,1,0.5", "1,2,-0", "2,1,0.5", "2,2,0", "3,1,-0", "3,2,0"]
+    assert "opinion [-0.167, 0.833]" in export.trajectory_to_svg(CONSTANT)
+    assert "opinion [0, 0.5]" in export.trajectory_to_svg(ZERO_LOW)
+    assert "opinion [-0.5, 0]" in export.trajectory_to_svg(ZERO_HIGH)
+
+
+def test_write_run_outputs_goes_through_both_exporters(tmp_path, monkeypatch):
+    """perfbench times export.trajectory_to_csv and export.trajectory_to_svg
+    by wrapping them, so write_run_outputs must call them by module name."""
+    calls = Counter()
+    for name in ("trajectory_to_csv", "trajectory_to_svg"):
+        def counted(record, _name=name, _original=getattr(export, name)):
+            calls[_name] += 1
+            return _original(record)
+        monkeypatch.setattr(export, name, counted)
+    spec = parse_scenario({
+        "model": {"kind": "knn", "k": 2},
+        "initial": {"kind": "explicit", "opinions": [0.0, 0.5, 1.0]},
+        "schedule": {"kind": "uniform_random", "seed": 1},
+        "max_steps": 6,
+    })
+    export.write_run_outputs(simulate(spec), str(tmp_path / "run"), spec)
+    assert calls == {"trajectory_to_csv": 1, "trajectory_to_svg": 1}

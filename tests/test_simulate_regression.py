@@ -1,9 +1,10 @@
 """Byte-level regression pins for `simulate`.
 
 Each scenario below was run through `simulate` and `write_run_outputs`, and
-the sha256 of the CSV and of the `.meta.json` sidecar were pinned. Any change
-to neighbour selection, summation order, event handling or the recorded
-envelope that alters a single byte of output fails here. The scenarios cover
+the sha256 of the CSV, of the `.meta.json` sidecar and of the SVG plot were
+pinned. Any change to neighbour selection, summation order, event handling,
+the recorded envelope or the export writers that alters a single byte of
+output fails here. The scenarios cover
 both models, both backends, every schedule kind, add and remove events,
 exact ties, signed zeros and distances that collapse under rounding.
 """
@@ -193,6 +194,36 @@ PINNED = {
     ),
 }
 
+# scenario name -> sha256 of <prefix>.svg
+PINNED_SVG = {
+    "abc-exact":
+        "4c64ae57fa1d32bc1ada4ed3f014b3c70161604f39f2a0ffddfe04058341f246",
+    "abc-float-add-remove":
+        "45bd59f9bf2a4684432fd6cc2244c206320cdb477c3093b39aa75f61b0d58230",
+    "abc-float-uniform":
+        "92a473d4ca52fca37243f666f0481c7baec5455d17cbc49d0f07b19978fc1977",
+    "knn-exact-events-equilibrium":
+        "f4f8098b94302b223b761f27bf897237d9ee8499c9e59e7d6ba924ee24f03c92",
+    "knn-exact-shrink":
+        "e286ac943c5e165a25a918e7a827591b358d3242ab26d3eb832a1d93ba6f11f7",
+    "knn-exact-uniform":
+        "95c8aa6e61909127fd3e1e75857363534c150101dfeae933e69741994ee70b6a",
+    "knn-float-add-remove":
+        "c741203ecf3b1388b9d806c273d6f30d92f842c516d0bad0ca06810fdf5dd7ba",
+    "knn-float-collapsed-distances":
+        "9c7fafca8204687c7b44f1690ccd3bf10de166589ba5ff0fee1d52199e1d4f9b",
+    "knn-float-explicit-ties":
+        "ba2e092ad89a9224e86f810024c37ddc728dc052288cc41a7e05376278021802",
+    "knn-float-n200":
+        "9d19b2bdbba18f23b58591dbf54f152ec1f9928946a8890095013d16ad0ab607",
+    "knn-float-shrink":
+        "91ccf3483501b4f1463a456294cd0d8c94922ebd9e14edebbc8cac1928cb98a7",
+    "knn-float-signed-zeros":
+        "b2da0239e6a91e5dc1ff51fa518b400d3936a9034d0aa864ba8beec1a5e6c20d",
+    "knn-float-uniform":
+        "65f520004addfc9d55868bcc05e3bfcde81b66189b4c37ba0e36b562856281dc",
+}
+
 
 def run_outputs(name, tmp_path):
     spec = parse_scenario(dict({**SCENARIOS, **STOP_ON_EVENT}[name], name=name))
@@ -215,6 +246,12 @@ def same_scalar(a, b):
 def test_simulate_output_is_pinned(name, tmp_path):
     _, digests = run_outputs(name, tmp_path)
     assert digests == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulate_svg_is_pinned(name, tmp_path):
+    run_outputs(name, tmp_path)
+    assert hashlib.sha256((tmp_path / f"{name}.svg").read_bytes()).hexdigest() == PINNED_SVG[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(STOP_ON_EVENT))
