@@ -148,7 +148,6 @@ def _figure_spec_clustered(seed, max_steps):
 def cmd_figures(args) -> int:
     _require(int_at_least(args.seed_range, 1), "--seed-range", "must be a positive integer")
     _require(int_at_least(args.max_steps, 0), "--max-steps", "must be a nonnegative integer")
-    os.makedirs(args.out, exist_ok=True)
     notes = {}
 
     # Figures A and B: the first converged clustered and the first converged
@@ -161,10 +160,10 @@ def cmd_figures(args) -> int:
             found.setdefault(record.classification, (seed, spec, record))
             if CLASS_CLUSTERED in found and CLASS_NON_CLUSTERED in found:
                 break
-    if CLASS_CLUSTERED not in found:
-        raise ScenarioError(
-            f"no clustered run found in seeds 0..{args.seed_range - 1}"
-        )
+    _require(CLASS_CLUSTERED in found, "--seed-range",
+             f"no run in seeds 0..{args.seed_range - 1} converged to a clustered "
+             f"limit within --max-steps {args.max_steps}")
+    os.makedirs(args.out, exist_ok=True)
     notes["clustered_seed"], fig1_spec, fig1_record = found[CLASS_CLUSTERED]
     _emit_figure(args.out, "fig_clustered", fig1_spec, fig1_record)
 

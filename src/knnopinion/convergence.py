@@ -182,25 +182,24 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
 
     members0 = set(knn_neighbors(config, mu_index(config), k).members)
     y0 = max(config.opinion(j) for j in members0)
-    state = config
+    run = run_schedule_tags(config, k, [MU] * steps)
 
     def fail(step, reason):
         return VerifierReport(
             name="mu_monotonicity",
             passed=False,
             detail={"step": step, "reason": reason,
-                    "state": [str(v) for v in state.opinions]},
+                    "state": [str(v) for v in run.states[step].opinions]},
         )
 
-    for t in range(steps):
-        mu = mu_index(state)
+    for t, mu in enumerate(run.updaters):
+        state, nxt = run.states[t], run.states[t + 1]
         members = set(knn_neighbors(state, mu, k).members)
         if members != members0:
             return fail(t, "neighbor set of the minimal agent changed")
         y = max(state.opinion(j) for j in members)
         if y != y0:
             return fail(t, "y changed")
-        nxt = knn_update(state, mu, k)
         for j in config.agents():
             if j in members0:
                 if nxt.opinion(j) < state.opinion(j):
@@ -209,7 +208,6 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
                     return fail(t, f"member {j} exceeded y(0)")
             elif nxt.opinion(j) != state.opinion(j):
                 return fail(t, f"non-member {j} moved")
-        state = nxt
     return VerifierReport(
         name="mu_monotonicity", passed=True, detail={"steps": steps}
     )

@@ -5,6 +5,10 @@ Classification is by direct application of the update map for every agent:
 n neighbor computations is cheap at desk scale and the definition itself
 leaves no room for shortcut bugs. Exact backend is required; float limits of
 Monte Carlo runs go through quantize_clusters instead.
+
+Both partitions are single_linkage_groups over Configuration.order_keys(),
+each group represented by its mean: an exact state's numerators link at
+tolerance 0, i.e. by equal value; float opinions at a positive tolerance.
 """
 
 from __future__ import annotations
@@ -74,15 +78,19 @@ class EquilibriumReport:
         }
 
 
+def _linkage_partition(config: Configuration, tolerance) -> ClusterPartition:
+    """Single-linkage groups of the order keys, each represented by its mean."""
+    ops = config.opinions
+    return ClusterPartition(groups=tuple(
+        (mean_of([ops[j] for j in idxs]), frozenset(j + 1 for j in idxs))
+        for idxs in single_linkage_groups(config.order_keys(), tolerance)
+    ))
+
+
 def partition_clusters(config: Configuration) -> ClusterPartition:
+    """Same-opinion groups: exact order keys linked at tolerance 0."""
     _require_exact(config, "partition_clusters")
-    by_value: dict = {}
-    for i in config.agents():
-        by_value.setdefault(config.opinion(i), set()).add(i)
-    groups = tuple(
-        (op, frozenset(by_value[op])) for op in sorted(by_value)
-    )
-    return ClusterPartition(groups=groups)
+    return _linkage_partition(config, 0)
 
 
 def _first_mixed_neighborhood(config: Configuration, k: int):
@@ -117,15 +125,10 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
     _require_exact(config, "is_equilibrium")
     witnesses: dict = {}
 
-    equilibrium = True
-    for i in config.agents():
-        if knn_update(config, i, k) != config:
-            equilibrium = False
-            witnesses["equilibrium"] = {
-                "agent": i,
-                "neighbors": list(knn_neighbors(config, i, k).members),
-            }
-            break
+    moved = next((i for i in config.agents() if knn_update(config, i, k) != config), None)
+    if moved is not None:
+        witnesses["equilibrium"] = {
+            "agent": moved, "neighbors": list(knn_neighbors(config, moved, k).members)}
 
     mixed = _first_mixed_neighborhood(config, k)
     if mixed is not None:
@@ -138,7 +141,7 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
         witnesses["consensus"] = {"agents": [1, j]}
 
     return EquilibriumReport(
-        is_equilibrium=equilibrium,
+        is_equilibrium=moved is None,
         is_clustered=mixed is None,
         is_consensus=consensus,
         witnesses=witnesses,
@@ -197,10 +200,11 @@ def build_example1(alpha: Scalar, beta: Scalar) -> Configuration:
 
 
 def single_linkage_groups(opinions, tolerance) -> list:
-    """Groups of 0-based indices: sort by opinion, split where the gap
-    between consecutive opinions exceeds the tolerance. Chained linkage is
-    deliberate: a group's total spread may exceed the tolerance."""
-    order = sorted(range(len(opinions)), key=lambda j: (opinions[j], j))
+    """Groups of 0-based indices, in ascending order of opinion: sort by
+    opinion, split where the gap between consecutive opinions exceeds the
+    tolerance. Chained linkage is deliberate: a group's total spread may
+    exceed the tolerance."""
+    order = sorted(range(len(opinions)), key=opinions.__getitem__)   # stable: ties by index
     groups = [[order[0]]]
     for prev, cur in zip(order, order[1:]):
         if opinions[cur] - opinions[prev] <= tolerance:
@@ -219,10 +223,4 @@ def quantize_clusters(config: Configuration, tolerance: Scalar = 1e-9) -> Cluste
         raise ParameterError("tolerance must be a finite positive number")
     if config.backend != FLOAT:
         raise BackendError("quantize_clusters is for float configurations")
-    idx_groups = single_linkage_groups(config.opinions, tolerance)
-    groups = []
-    for idxs in idx_groups:
-        rep = mean_of([config.opinions[j] for j in idxs])
-        groups.append((rep, frozenset(j + 1 for j in idxs)))
-    groups.sort(key=lambda g: g[0])
-    return ClusterPartition(groups=tuple(groups))
+    return _linkage_partition(config, tolerance)

@@ -22,7 +22,7 @@ from .dynamics import (
     abc_indices,
     abc_update,
 )
-from .equilibria import is_clustered, is_equilibrium, partition_clusters, single_linkage_groups
+from .equilibria import is_clustered, is_equilibrium, single_linkage_groups
 from .numerics import EXACT, FLOAT, Scalar, common_numerators, mean_exact, mean_float
 from .rng import SeededRng
 from .scenario import (
@@ -111,49 +111,40 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
 
     Limits are approached asymptotically, so a bare probe test cannot tell a
     slow transit from a limit. A run stops when every probe update moves less
-    than tol AND either (a) the quantized groups are all well formed (k-NN:
-    every group has >= k members; any model: within-group spread < tol), the
-    usual clustered/consensus limit, or (b) probe moves have stalled near
-    roundoff, the signature of a genuine non-clustered equilibrium rather
-    than a state still drifting toward a cluster merge.
+    than tol AND either (a) the tol-groups make a consensus or clustered
+    limit by _limit_class and each spans less than tol, or (b) probe moves
+    have stalled near roundoff, the signature of a genuine non-clustered
+    equilibrium rather than a state still drifting toward a cluster merge.
     """
     move = _max_probe_move(index, model, mean_float, tol)
     if move >= tol:
         return False
     opinions = index.opinions
     groups = single_linkage_groups(opinions, tol)
-    spreads_ok = all(
-        max(opinions[j] for j in g) - min(opinions[j] for j in g) < tol
-        for g in groups
-    )
-    if spreads_ok and (
-        len(groups) == 1
-        or model.kind == "abc"
-        or all(len(g) >= model.k for g in groups)
+    if _limit_class([len(g) for g in groups], model) != CLASS_NON_CLUSTERED and all(
+        max(opinions[j] for j in g) - min(opinions[j] for j in g) < tol for g in groups
     ):
         return True
     stall = max(tol * 1e-4, 4e-16)
     return move < stall
 
 
-def classify_opinions(opinions, model: ModelSpec, tol: float, backend: str) -> str:
-    """Label a limit state. For k-NN, a clustered label additionally needs
-    every group to have at least k members; smaller stable groups mean a
-    non-clustered equilibrium (numerical, for the float backend)."""
-    if backend == EXACT:
-        config = Configuration(list(opinions))
-        part = partition_clusters(config)
-        if len(part.groups) == 1:
-            return CLASS_CONSENSUS
-        if model.kind == "knn":
-            return CLASS_CLUSTERED if is_clustered(config, model.k) else CLASS_NON_CLUSTERED
-        return CLASS_CLUSTERED
-    groups = single_linkage_groups(opinions, tol)
-    if len(groups) == 1:
+def _limit_class(sizes, model: ModelSpec) -> str:
+    """The label of a limit state from its group sizes. Every group has >= k
+    members exactly when every agent's k nearest neighbours share its
+    opinion, so on an exact state this agrees with is_clustered."""
+    if len(sizes) == 1:
         return CLASS_CONSENSUS
-    if model.kind == "knn" and any(len(g) < model.k for g in groups):
+    if model.kind == "knn" and min(sizes) < model.k:
         return CLASS_NON_CLUSTERED
     return CLASS_CLUSTERED
+
+
+def classify_opinions(opinions, model: ModelSpec, tol: float, backend: str) -> str:
+    """Label a limit state: float opinions group at tol, exact ones by equal
+    value (tolerance 0)."""
+    groups = single_linkage_groups(opinions, tol if backend == FLOAT else 0)
+    return _limit_class([len(g) for g in groups], model)
 
 
 def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
@@ -195,7 +186,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
                 next_id += 1
             index = OpinionIndex(opinions)
 
-        if t >= last_event_step and _check_due(t, len(ids)):
+        if t >= last_event_step and t % max(len(ids), 1) == 0:
             if backend == EXACT:
                 if _max_probe_move(index, spec.model, mean, 0) == 0:
                     record.stop_reason = STOP_EQUILIBRIUM
@@ -241,10 +232,6 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     else:
         record.classification = CLASS_NOT_CONVERGED
     return record
-
-
-def _check_due(t: int, n: int) -> bool:
-    return t % max(n, 1) == 0
 
 
 def _apply_event(event, ids, opinions, next_id, backend, rng_events, record):
@@ -439,14 +426,8 @@ def _run_addition(base_floats, model, additions, schedule_seed, max_steps, tol):
     spec = _addition_spec(base_floats, model, additions, schedule_seed, max_steps, tol)
     rec = simulate(spec)
     n0 = len(base_floats)
-    untouched = True
-    for ids, ops in rec.snapshots:
-        for pos, agent in enumerate(ids):
-            if agent <= n0 and ops[pos] != base_floats[agent - 1]:
-                untouched = False
-                break
-        if not untouched:
-            break
+    untouched = all(ops[pos] == base_floats[agent - 1] for ids, ops in rec.snapshots
+                    for pos, agent in enumerate(ids) if agent <= n0)
     finals = dict(zip(rec.final_ids, rec.final_opinions))
     return AdditionRunReport(
         model=model.kind,
@@ -525,9 +506,7 @@ def robustness_removal(
     does not, the dynamics are resumed (float, uniform schedule) and the new
     limit is reported."""
     _require_clustered(base, k)
-    victim_opinion = base.opinion(remove_id)
-    part = partition_clusters(base)
-    victim_size = next(len(m) for op, m in part.groups if op == victim_opinion)
+    victim_size = base.opinions.count(base.opinion(remove_id))
 
     removed = base.without(remove_id)
     still = is_equilibrium(removed, k).is_equilibrium
@@ -595,14 +574,10 @@ class SweepResult:
 
 def _sweep_one(spec: ScenarioSpec):
     rec = simulate(spec)
-    groups = None
-    if rec.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
-        if rec.backend == FLOAT:
-            groups = len(single_linkage_groups(list(rec.final_opinions), spec.tol))
-        else:
-            groups = len(partition_clusters(Configuration(list(rec.final_opinions))).groups)
-    hit = rec.total_steps if rec.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM) else None
-    return rec.classification, groups, hit
+    if rec.stop_reason not in (STOP_CONVERGED, STOP_EQUILIBRIUM):
+        return rec.classification, None, None
+    tol = spec.tol if rec.backend == FLOAT else 0
+    return rec.classification, len(single_linkage_groups(rec.final_opinions, tol)), rec.total_steps
 
 
 def batch_sweep(specs, jobs: int = 1) -> SweepResult:

@@ -30,7 +30,9 @@ event kinds: add {step, opinion: number | "p/q" | uniform_random descriptor};
 remove {step, agent}.
 
 The CLI's other documents parse here too: parse_configuration (classify),
-parse_robustness (robustness add|remove) and parse_grid (sweep).
+parse_robustness (robustness add|remove) and parse_grid (sweep). Every
+object in every document is checked for unknown keys, so a misspelt field
+is an error (`initial.hgih: is not a known field`), not its default.
 """
 
 from __future__ import annotations
@@ -180,6 +182,13 @@ def _require(cond, field_name, message):
         raise ScenarioError(f"{field_name}: {message}")
 
 
+def _known_fields(raw: dict, fields, where="") -> None:
+    """Rejects a key of `raw` outside `fields`, so that a misspelt optional
+    field cannot silently fall back to its default."""
+    for key in raw:
+        _require(key in fields, f"{where}{key}", "is not a known field")
+
+
 def int_at_least(value, least) -> bool:
     """True for an integer >= least. JSON true/false parse as Python bools,
     which are ints too, and are rejected."""
@@ -226,10 +235,12 @@ def _parse_model(raw) -> ModelSpec:
     _require(isinstance(raw, dict), "model", "must be an object")
     kind = raw.get("kind")
     if kind == "knn":
+        _known_fields(raw, ("kind", "k"), "model.")
         k = raw.get("k")
         _require(int_at_least(k, 1), "model.k", "must be a positive integer")
         return ModelSpec(kind="knn", k=k)
     if kind == "abc":
+        _known_fields(raw, ("kind", "d"), "model.")
         d = raw.get("d")
         _require(d is not None, "model.d", "is required for the abc model")
         d = parse_scalar_field(d, "model.d")
@@ -244,6 +255,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
     _require(isinstance(raw, dict), where[:-1], "must be an object")
     kind = raw.get("kind")
     if kind == "uniform_random":
+        _known_fields(raw, ("kind", "n", "low", "high", "seed"), where)
         n = raw.get("n")
         _require(int_at_least(n, 1), f"{where}n", "must be a positive integer")
         _require("seed" in raw, f"{where}seed", "is required")
@@ -252,11 +264,13 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
                            high=_finite_float(raw.get("high", 1.0), f"{where}high"),
                            seed=raw["seed"])
     if kind == "explicit":
+        _known_fields(raw, ("kind", "opinions"), where)
         ops = raw.get("opinions")
         _require(isinstance(ops, list) and ops, f"{where}opinions", "must be a non-empty list")
         opinions = parse_scalar_list(ops, f"{where}opinions")
         return InitialSpec(kind=kind, opinions=_one_backend(opinions, f"{where}opinions"))
     if kind == "clusters":
+        _known_fields(raw, ("kind", "groups"), where)
         groups = raw.get("groups")
         _require(isinstance(groups, list) and groups, f"{where}groups", "must be a non-empty list")
         parsed = []
@@ -264,6 +278,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
             entry = f"{where}groups[{i}]"
             _require(isinstance(g, dict) and "opinion" in g and "size" in g,
                      entry, "needs opinion and size")
+            _known_fields(g, ("opinion", "size"), f"{entry}.")
             _require(int_at_least(g["size"], 1),
                      f"{entry}.size", "must be a positive integer")
             parsed.append((parse_scalar_field(g["opinion"], f"{entry}.opinion"), g["size"]))
@@ -276,15 +291,18 @@ def _parse_schedule(raw) -> ScheduleSpec:
     _require(isinstance(raw, dict), "schedule", "must be an object")
     kind = raw.get("kind")
     if kind == "uniform_random":
+        _known_fields(raw, ("kind", "seed"), "schedule.")
         _require("seed" in raw, "schedule.seed", "is required")
         return ScheduleSpec(kind=kind, seed=raw["seed"])
     if kind == "explicit":
+        _known_fields(raw, ("kind", "agents"), "schedule.")
         agents = raw.get("agents")
         _require(isinstance(agents, list), "schedule.agents", "must be a list")
         for i, a in enumerate(agents):
             _require(int_at_least(a, 1), f"schedule.agents[{i}]", "must be a positive agent id")
         return ScheduleSpec(kind=kind, agents=tuple(agents))
     if kind == "shrink":
+        _known_fields(raw, ("kind",), "schedule.")
         return ScheduleSpec(kind="shrink")
     raise ScenarioError("schedule.kind: must be uniform_random, explicit or shrink")
 
@@ -301,11 +319,14 @@ def parse_add_event(raw, where) -> EventSpec:
     """An add event's `step` and `opinion` (a number, "p/q" or a
     uniform_random descriptor); error messages name fields under `where`."""
     step = _event_step(raw, where)
+    _known_fields(raw, ("kind", "step", "opinion"), f"{where}.")
+    _require(raw.get("kind", "add") == "add", f"{where}.kind", "must be 'add'")
     op = raw.get("opinion")
     _require(op is not None, f"{where}.opinion", "is required")
     if isinstance(op, dict):
         _require(op.get("kind") == "uniform_random", f"{where}.opinion.kind",
                  "must be uniform_random")
+        _known_fields(op, ("kind", "low", "high"), f"{where}.opinion.")
         opinion = ("uniform_random",
                    _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
                    _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
@@ -323,6 +344,7 @@ def _parse_event(raw, pos) -> EventSpec:
         return parse_add_event(raw, where)
     step = _event_step(raw, where)
     if kind == "remove":
+        _known_fields(raw, ("kind", "step", "agent"), f"{where}.")
         agent = raw.get("agent")
         _require(int_at_least(agent, 1), f"{where}.agent",
                  "must be a positive agent id")
@@ -332,6 +354,8 @@ def _parse_event(raw, pos) -> EventSpec:
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
+    _known_fields(raw, ("name", "model", "initial", "schedule", "events", "event_seed",
+                        "max_steps", "tol", "record_every"))
     model = _parse_model(raw.get("model"))
     initial = parse_initial(raw.get("initial"))
     schedule = _parse_schedule(raw.get("schedule"))
@@ -365,14 +389,16 @@ def parse_grid(raw) -> list:
 
 
 def parse_configuration(raw, where="") -> Configuration:
-    """A JSON array of opinions, or an object with `opinions` or `groups`,
-    parsed as an explicit or clusters initial state; `where` prefixes the
-    field names in error messages ("base." for a robustness base)."""
+    """A JSON array of opinions, or an object with one of `opinions` and
+    `groups`, parsed as an explicit or clusters initial state; `where`
+    prefixes the field names in error messages ("base." for a robustness
+    base)."""
     if isinstance(raw, list):
         raw = {"opinions": raw}
-    _require(isinstance(raw, dict) and ("opinions" in raw or "groups" in raw),
+    _require(isinstance(raw, dict) and ("opinions" in raw) != ("groups" in raw),
              where[:-1] or "configuration",
-             "must be a JSON array or an object with 'opinions' or 'groups'")
+             "must be a JSON array or an object with one of 'opinions' and 'groups'")
+    _known_fields(raw, ("opinions", "groups"), where)
     kind = "clusters" if "groups" in raw else "explicit"
     return Configuration(parse_initial(dict(raw, kind=kind), where).fixed_opinions())
 
@@ -408,6 +434,8 @@ def parse_robustness(raw, mode) -> dict:
     harness.robustness_addition (mode "add") or robustness_removal
     ("remove"). Whether the base is clustered is left to those two."""
     _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
+    _known_fields(raw, ("base", "k", "abc_d", "schedule_seed", "max_steps", "tol")
+                  + (("additions", "addition_seed") if mode == "add" else ("remove",)))
     _require("base" in raw, "base", "is required")
     base = parse_configuration(raw["base"], "base.")
     k = _count(raw, "k", None, 1)

@@ -486,6 +486,15 @@ def test_figures_checks_max_steps_before_creating_out(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_figures_without_a_clustered_run_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "figs"
+    argv = ["figures", "--out", str(out), "--max-steps", "0", "--seed-range", "3"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed-range: ") and "--max-steps" in err
+    assert not out.exists()
+
+
 HUGE = "1" + "0" * 400   # an integer above the largest finite float
 
 
@@ -505,3 +514,55 @@ def test_rationals_outside_the_float_range_are_rejected(tmp_path, capsys, argv, 
     assert main(argv + ["--spec", path, "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert list(tmp_path.iterdir()) == [tmp_path / "doc.json"]
+
+
+UNKNOWN = "is not a known field"
+
+
+UNKNOWN_KEYS = [
+    (["simulate"], dict(SCENARIO, max_step=5), "max_step", UNKNOWN),
+    (["simulate"], dict(SCENARIO, model={"kind": "knn", "k": 3, "d": 0.1}), "model.d", UNKNOWN),
+    (["simulate"], dict(SCENARIO, initial=dict(SCENARIO["initial"], hgih=0.5)),
+     "initial.hgih", UNKNOWN),
+    (["simulate"], dict(SCENARIO, initial={"kind": "clusters",
+                                           "groups": [{"opinion": 0.5, "size": 4, "sise": 3}]}),
+     "initial.groups[0].sise", UNKNOWN),
+    (["simulate"], dict(SCENARIO, schedule={"kind": "uniform_random", "sed": 22}),
+     "schedule.sed", UNKNOWN),
+    (["simulate"], dict(SCENARIO, schedule={"kind": "shrink", "seed": 22}),
+     "schedule.seed", UNKNOWN),
+    (["simulate"], dict(SCENARIO, events=[{"kind": "remove", "step": 1, "agnet": 1}]),
+     "events[0].agnet", UNKNOWN),
+    (["simulate"], dict(SCENARIO, events=[dict(ADD_EVENT, opinion=0.5, agent=1)]),
+     "events[0].agent", UNKNOWN),
+    (["simulate"], dict(SCENARIO, events=[dict(ADD_EVENT, opinion={
+        "kind": "uniform_random", "low": 0, "hi": 1})]), "events[0].opinion.hi", UNKNOWN),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, tolerance=1e-9), "tolerance", UNKNOWN),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, additions=[]), "additions", UNKNOWN),
+    (["robustness", "add"], dict(ROBUST_ADD, remove=1), "remove", UNKNOWN),
+    (["robustness", "add"], dict(ROBUST_ADD, additions=[{"step": 2, "opinion": 0.7,
+                                                         "kind": "remove"}]),
+     "additions[0].kind", "must be 'add'"),
+    (["robustness", "add"], dict(ROBUST_ADD, base={"opinions": ["2/5"] * 6, "kind": "explicit"}),
+     "base.kind", UNKNOWN),
+    (["classify", "--k", "1"], {"opinions": [0.1, 0.9], "name": "x"}, "name", UNKNOWN),
+    (["classify", "--k", "1"], {"opinions": [0.1, 0.9],
+                                "groups": [{"opinion": 0.5, "size": 2}]},
+     "configuration", "one of 'opinions' and 'groups'"),
+    (["robustness", "remove"], dict(ROBUST_REMOVE, base={
+        "opinions": ["0/1"] * 6, "groups": [{"opinion": "1/1", "size": 5}]}),
+     "base", "one of 'opinions' and 'groups'"),
+]
+
+
+@pytest.mark.parametrize("argv, document, field, message", UNKNOWN_KEYS,
+                         ids=[case[2] for case in UNKNOWN_KEYS])
+def test_documents_reject_unknown_keys(tmp_path, capsys, argv, document, field, message):
+    # a misspelt optional field used to fall back to its default silently
+    path = write_json(tmp_path / "doc.json", document)
+    flag = "--config" if argv[0] == "classify" else "--spec"
+    extra = ["--out", str(tmp_path / "x")] if argv[0] == "simulate" else []
+    assert main(argv + [flag, path] + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and message in err, err
+    assert not (tmp_path / "x.csv").exists()

@@ -7,10 +7,12 @@ non-clustered run and falls back to the exact 20-agent construction.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from knnopinion.cli import EXIT_OK, main
+from knnopinion.scenario import load_scenario, parse_scenario
 
 # file name -> sha256, shared by both ranges unless overridden
 COMMON = {
@@ -78,3 +80,8 @@ def test_figures_tree_is_pinned(name, tmp_path, capsys):
         for path in tmp_path.iterdir()
     }
     assert written == PINNED[name]
+    # every written scenario document reads back to a spec that writes it again
+    for path in tmp_path.glob("*.scenario.json"):
+        spec = load_scenario(str(path))
+        assert spec.to_json() == path.read_text()
+        assert parse_scenario(json.loads(spec.to_json())) == spec

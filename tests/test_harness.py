@@ -311,6 +311,46 @@ def test_batch_sweep_parallel_matches_serial():
     assert serial.to_jsonable() == parallel.to_jsonable()
 
 
+EXACT_SWEEP = [
+    # the n=7, k=3 tie counterexample: a non-clustered equilibrium
+    {"model": {"kind": "knn", "k": 3},
+     "initial": {"kind": "explicit",
+                 "opinions": ["0/1", "1/1", "0/1", "1/1", "0/1", "1/1", "1/2"]}},
+    # groups of exactly k and k+1 after an add at step 0
+    {"model": {"kind": "knn", "k": 3},
+     "initial": {"kind": "clusters", "groups": [{"opinion": "1/3", "size": 3},
+                                                {"opinion": "2/3", "size": 3}]},
+     "events": [{"kind": "add", "step": 0, "opinion": "2/3"}]},
+    {"model": {"kind": "knn", "k": 2},
+     "initial": {"kind": "clusters", "groups": [{"opinion": "1/2", "size": 4}]}},
+    # k = 1: every value is a group, values one numerator apart included
+    {"model": {"kind": "knn", "k": 1},
+     "initial": {"kind": "explicit", "opinions": ["0/1", "1/7", "2/7", "2/7"]}},
+    {"model": {"kind": "abc", "d": "1/4"},
+     "initial": {"kind": "explicit", "opinions": ["0/1", "0/1", "1/2", "1/1"]}},
+    # still moving at max_steps: no group count
+    {"model": {"kind": "knn", "k": 2},
+     "initial": {"kind": "explicit", "opinions": ["0/1", "1/3", "1/1"]}, "max_steps": 9},
+]
+
+
+def test_exact_sweep_counts_distinct_final_opinions():
+    specs = [parse_scenario({"schedule": {"kind": "uniform_random", "seed": 1},
+                             "max_steps": 100, **doc}) for doc in EXACT_SWEEP]
+    result = batch_sweep(specs)
+    assert result.errors == {}
+    counts = {}
+    for spec in specs:
+        rec = simulate(spec)
+        assert rec.backend == numerics.EXACT
+        if rec.stop_reason == STOP_EQUILIBRIUM:
+            distinct = len(set(rec.final_opinions))
+            counts[distinct] = counts.get(distinct, 0) + 1
+    assert result.cluster_count_histogram == counts == {3: 3, 2: 1, 1: 1}
+    assert result.classifications == {"non_clustered_numerical": 1, "clustered": 3,
+                                      CLASS_CONSENSUS: 1, "not_converged": 1}
+
+
 @pytest.fixture
 def coerce_all_calls(monkeypatch):
     """Counts coerce_all calls, wrapped in every knnopinion namespace that

@@ -10,6 +10,7 @@ exact ties, signed zeros and distances that collapse under rounding.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -272,3 +273,9 @@ def test_signed_zero_states_are_covered():
              and any(math.copysign(1, v) > 0 for v in ops if v == 0)]
     assert mixed
     assert any(max(ops) == 0 for ops in mixed)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_documents_round_trip(name):
+    spec = parse_scenario(SCENARIOS[name])
+    assert parse_scenario(json.loads(json.dumps(spec.to_dict()))) == spec
