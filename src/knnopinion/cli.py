@@ -27,7 +27,7 @@ from .harness import (
     CLASS_CLUSTERED,
     CLASS_NON_CLUSTERED,
     STOP_CONVERGED,
-    classify_opinions,
+    _limit_class,
     robustness_addition,
     robustness_removal,
     batch_sweep,
@@ -97,13 +97,11 @@ def cmd_classify(args) -> int:
         payload = {"mode": "exact", "k": args.k, **report.to_jsonable()}
     else:
         part = quantize_clusters(config, args.tol)
-        model = ModelSpec(kind="knn", k=args.k)
-        label = classify_opinions(list(config.opinions), model, args.tol, config.backend)
         payload = {
             "mode": "numerical",
             "k": args.k,
             "tolerance": args.tol,
-            "classification": label,
+            "classification": _limit_class(part.sizes, ModelSpec(kind="knn", k=args.k)),
             "clusters": part.to_jsonable(),
         }
     _write_json(payload, args.out)

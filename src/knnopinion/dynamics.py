@@ -8,15 +8,15 @@ agent may or may not survive into its own neighbor set.
 
 ABC rule: all agents within distance d, always including the agent itself.
 
+A Configuration stores one form, `keys` over `den`: an exact state's integer
+numerators N over their least common denominator D, or a float state's
+floats with den None. Scaling by a positive D keeps every distance order and
+every exact tie, so knn_neighbors, knn_update and diameter work on the
+stored keys, and an exact state builds no Fraction for them.
+
 knn_indices is the literal rule and the oracle: one stable sort of all n
 agents by the computed distance abs(v - x_i), so equal distances stay in id
-order. Any totally ordered keys serve, floats or ints; a Fraction sequence
-is first written as the integer numerators N of numerics.common_numerators,
-since scaling by the positive common denominator keeps every distance order
-and every exact tie. Configuration.order_keys() owns that choice for a
-state: an exact Configuration carries its numerators (N, D), so
-knn_neighbors and knn_update sort and average those ints without
-recomputing them.
+order. Any totally ordered keys serve: floats, ints or Fractions.
 
 OpinionIndex gives the same answer in O(log n + k) for a run that updates
 one agent at a time. It keeps the opinions sorted as (value, position)
@@ -45,6 +45,7 @@ from typing import Sequence
 
 from .numerics import (
     EXACT,
+    FLOAT,
     BackendError,
     Scalar,
     backend_of,
@@ -62,107 +63,106 @@ class ParameterError(ValueError):
 class Configuration:
     """Immutable vector of n opinions, agent ids 1..n, single backend.
 
-    An exact configuration also holds its opinions as integer numerators
-    over a positive common denominator, (N, D) with opinions[j] == N[j] / D,
-    computed on first use and carried forward by replace(). D is a common
-    denominator, not necessarily the least one.
+    Stored once, as `keys` over `den`: an exact state as integer numerators
+    N over their least common denominator D, so gcd(D, *N) == 1 and equal
+    states store equal pairs, which == and hash compare; a float state as
+    its floats, with den None. `opinions` is built on first read unless
+    given to Configuration(); until then opinion(i) makes one Fraction.
     """
 
-    __slots__ = ("opinions", "backend", "_numerators")
+    __slots__ = ("keys", "den", "_opinions")
 
     def __init__(self, opinions: Sequence):
-        if len(opinions) == 0:
-            raise ParameterError("a configuration needs at least one agent")
         vals, backend = coerce_all(opinions)
-        object.__setattr__(self, "opinions", tuple(vals))
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_numerators", None)
+        keys, den = common_numerators(vals) if backend == EXACT else (vals, None)
+        self._store(keys, den, tuple(vals))
+
+    @classmethod
+    def _from_keys(cls, keys: Sequence, den) -> "Configuration":
+        """The state stored as `keys` over `den`: floats with den None, or
+        integer numerators over a positive den, reduced to lowest terms."""
+        g = 1 if den is None else math.gcd(den, *keys)
+        if g != 1:
+            keys, den = [m // g for m in keys], den // g
+        out = object.__new__(cls)
+        out._store(keys, den, None)
+        return out
+
+    def _store(self, keys: Sequence, den, opinions) -> None:
+        if len(keys) == 0:
+            raise ParameterError("a configuration needs at least one agent")
+        keys = tuple(keys)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_opinions", keys if den is None else opinions)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, not the blocked setattr
-        return (Configuration, (self.opinions,))
+        # pickle and copy rebuild via _from_keys, not the blocked setattr
+        return (Configuration._from_keys, (self.keys, self.den))
+
+    @property
+    def backend(self) -> str:
+        return FLOAT if self.den is None else EXACT
+
+    @property
+    def opinions(self) -> tuple:
+        if self._opinions is None:
+            ops = tuple([Fraction(m, self.den) for m in self.keys])
+            object.__setattr__(self, "_opinions", ops)
+        return self._opinions
 
     @property
     def n(self) -> int:
-        return len(self.opinions)
+        return len(self.keys)
 
     def opinion(self, i: int) -> Scalar:
         self._check_agent(i)
-        return self.opinions[i - 1]
+        ops = self._opinions
+        return ops[i - 1] if ops is not None else Fraction(self.keys[i - 1], self.den)
 
     def agents(self) -> range:
         return range(1, self.n + 1)
-
-    def numerators(self) -> tuple:
-        """(N, D) of an exact configuration: a tuple of ints and a positive
-        int D with opinions[j] == N[j] / D for every j."""
-        cache = self._numerators
-        if cache is None:
-            nums, den = common_numerators(self.opinions)
-            cache = (tuple(nums), den)
-            object.__setattr__(self, "_numerators", cache)
-        return cache
-
-    def order_keys(self) -> Sequence:
-        """Per-agent keys that order and subtract like the opinions: the
-        carried integer numerators of an exact configuration, the floats
-        themselves otherwise."""
-        return self.numerators()[0] if self.backend == EXACT else self.opinions
 
     def replace(self, i: int, value: Scalar) -> "Configuration":
         # only value is checked, so the costly re-coercion of Configuration()
         # is skipped; a plain int converts as in coerce_all
         self._check_agent(i)
-        if type(value) is not (Fraction if self.backend == EXACT else float):
+        keys, den = list(self.keys), self.den
+        if type(value) is not (float if den is None else Fraction):
             if isinstance(value, int) and not isinstance(value, bool):
-                value = Fraction(value) if self.backend == EXACT else float(value)
+                value = float(value) if den is None else Fraction(value)
             elif backend_of(value) != self.backend:
                 raise BackendError(
                     f"cannot put a {backend_of(value)} value into a {self.backend} configuration")
-        ops = list(self.opinions)
-        ops[i - 1] = value
-        out = object.__new__(Configuration)
-        object.__setattr__(out, "opinions", tuple(ops))
-        object.__setattr__(out, "backend", self.backend)
-        cache = self._numerators
-        if cache is not None:
-            # carry (N, D) forward; D' = lcm(D, q) rescales only when q does
-            # not divide D
-            nums, den = cache
+        if den is not None:
+            # p/q over D' = lcm(D, q): N rescales only when q does not divide D
             p, q = value.as_integer_ratio()
-            if den % q:
-                scale = q // math.gcd(den, q)
-                nums = [m * scale for m in nums]
-                den *= scale
-            else:
-                nums = list(nums)
-            nums[i - 1] = p * (den // q)
-            cache = (tuple(nums), den)
-        object.__setattr__(out, "_numerators", cache)
-        return out
+            lcm = math.lcm(den, q)
+            if lcm != den:
+                keys = [m * (lcm // den) for m in keys]
+            den, value = lcm, p * (lcm // q)
+        keys[i - 1] = value
+        return Configuration._from_keys(keys, den)
 
     def without(self, i: int) -> "Configuration":
         self._check_agent(i)
         if self.n == 1:
             raise ParameterError("cannot remove the last agent")
-        return Configuration([v for j, v in enumerate(self.opinions) if j != i - 1])
+        return Configuration._from_keys(self.keys[:i - 1] + self.keys[i:], self.den)
 
     def _check_agent(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ParameterError(f"agent id {i} out of range 1..{self.n}")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Configuration)
-            and self.backend == other.backend
-            and self.opinions == other.opinions
-        )
+        return (isinstance(other, Configuration)
+                and (self.den, self.keys) == (other.den, other.keys))
 
     def __hash__(self):
-        return hash((self.backend, self.opinions))
+        return hash((self.den, self.keys))
 
     def __repr__(self):
         return f"Configuration({list(self.opinions)!r})"
@@ -185,11 +185,8 @@ def _check_k(k: int, n: int) -> None:
 
 def knn_indices(opinions: Sequence, idx: int, k: int) -> list:
     """0-based indices of the k nearest opinions to opinions[idx], ties to
-    the lower index: one stable sort by the computed distance, over floats
-    or ints; Fractions are sorted as their common numerators. The positional
-    order must match the agent-id order."""
-    if isinstance(opinions[idx], Fraction):
-        opinions = common_numerators(opinions)[0]
+    the lower index: one stable sort by the computed distance, over floats,
+    ints or Fractions. Positional order must match agent-id order."""
     xi = opinions[idx]
     dists = [abs(v - xi) for v in opinions]
     # sorted() is stable, so equal distances stay in index order
@@ -261,28 +258,26 @@ def abc_indices(opinions: Sequence[Scalar], idx: int, d: Scalar) -> list:
     return [j for j, xj in enumerate(opinions) if abs(xj - xi) <= d]
 
 
-# 1-based public operations over Configuration; an exact configuration's
-# neighbours and means come from its carried numerators.
+# 1-based public operations over Configuration; neighbours, means and the
+# diameter come from the stored keys.
 
 def _config_mean(config: Configuration, idxs: list) -> Scalar:
-    if config.backend == EXACT:
-        nums, den = config.numerators()
-        return mean_exact([nums[j] for j in idxs], den)
-    ops = config.opinions
-    return mean_float([ops[j] for j in idxs])
+    """Mean opinion of the agents at the 0-based positions idxs."""
+    vals = [config.keys[j] for j in idxs]
+    return mean_float(vals) if config.den is None else mean_exact(vals, config.den)
 
 
 def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
     _check_k(k, config.n)
     config._check_agent(i)
-    idxs = knn_indices(config.order_keys(), i - 1, k)
+    idxs = knn_indices(config.keys, i - 1, k)
     return NeighborSet(agent=i, members=tuple(j + 1 for j in idxs))
 
 
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:
     _check_k(k, config.n)
     config._check_agent(i)
-    return config.replace(i, _config_mean(config, knn_indices(config.order_keys(), i - 1, k)))
+    return config.replace(i, _config_mean(config, knn_indices(config.keys, i - 1, k)))
 
 
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
@@ -293,5 +288,6 @@ def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:
 
 
 def diameter(config: Configuration) -> Scalar:
-    ops, keys = config.opinions, config.order_keys()
-    return ops[keys.index(max(keys))] - ops[keys.index(min(keys))]
+    keys = config.keys
+    spread = max(keys) - min(keys)
+    return spread if config.den is None else Fraction(spread, config.den)

@@ -6,8 +6,9 @@ n neighbor computations is cheap at desk scale and the definition itself
 leaves no room for shortcut bugs. Exact backend is required; float limits of
 Monte Carlo runs go through quantize_clusters instead.
 
-Both partitions are single_linkage_groups over Configuration.order_keys(),
-each group represented by its mean: an exact state's numerators link at
+The checks read a configuration's stored keys: equal keys are equal
+opinions. Both partitions are single_linkage_groups over the keys, each
+group represented by its mean: an exact state's numerators link at
 tolerance 0, i.e. by equal value; float opinions at a positive tolerance.
 """
 
@@ -17,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Configuration, ParameterError, knn_neighbors, knn_update
-from .numerics import EXACT, FLOAT, BackendError, Scalar, mean_of
+from .dynamics import Configuration, ParameterError, _config_mean, knn_neighbors, knn_update
+from .numerics import EXACT, FLOAT, BackendError, Scalar
 
 
 class FloatBackendError(BackendError):
@@ -79,11 +80,10 @@ class EquilibriumReport:
 
 
 def _linkage_partition(config: Configuration, tolerance) -> ClusterPartition:
-    """Single-linkage groups of the order keys, each represented by its mean."""
-    ops = config.opinions
+    """Single-linkage groups of the stored keys, each represented by its mean."""
     return ClusterPartition(groups=tuple(
-        (mean_of([ops[j] for j in idxs]), frozenset(j + 1 for j in idxs))
-        for idxs in single_linkage_groups(config.order_keys(), tolerance)
+        (_config_mean(config, idxs), frozenset(j + 1 for j in idxs))
+        for idxs in single_linkage_groups(config.keys, tolerance)
     ))
 
 
@@ -96,10 +96,10 @@ def partition_clusters(config: Configuration) -> ClusterPartition:
 def _first_mixed_neighborhood(config: Configuration, k: int):
     """(agent, neighbor ids) of the first agent whose neighbor set holds
     another opinion than its own; None when the configuration is clustered."""
+    keys = config.keys
     for i in config.agents():
-        xi = config.opinion(i)
         members = knn_neighbors(config, i, k).members
-        if any(config.opinion(j) != xi for j in members):
+        if any(keys[j - 1] != keys[i - 1] for j in members):
             return i, members
     return None
 
@@ -134,16 +134,15 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
     if mixed is not None:
         witnesses["clustered"] = {"agent": mixed[0], "neighbors": list(mixed[1])}
 
-    first = config.opinion(1)
-    consensus = all(config.opinion(i) == first for i in config.agents())
-    if not consensus:
-        j = next(i for i in config.agents() if config.opinion(i) != first)
-        witnesses["consensus"] = {"agents": [1, j]}
+    keys = config.keys
+    other = next((j for j in config.agents() if keys[j - 1] != keys[0]), None)
+    if other is not None:
+        witnesses["consensus"] = {"agents": [1, other]}
 
     return EquilibriumReport(
         is_equilibrium=moved is None,
         is_clustered=mixed is None,
-        is_consensus=consensus,
+        is_consensus=other is None,
         witnesses=witnesses,
     )
 

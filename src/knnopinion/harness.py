@@ -59,6 +59,7 @@ class TrajectoryRecord:
     stop_reason: str = STOP_MAX_STEPS
     total_steps: int = 0
     classification: Optional[str] = None
+    cluster_count: Optional[int] = None   # groups of a converged final state
     final_ids: tuple = ()
     final_opinions: tuple = ()
 
@@ -228,7 +229,9 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     record.final_ids = tuple(ids)
     record.final_opinions = tuple(opinions)
     if record.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
-        record.classification = classify_opinions(opinions, spec.model, spec.tol, backend)
+        groups = single_linkage_groups(opinions, spec.tol if backend == FLOAT else 0)
+        record.cluster_count = len(groups)
+        record.classification = _limit_class([len(g) for g in groups], spec.model)
     else:
         record.classification = CLASS_NOT_CONVERGED
     return record
@@ -574,10 +577,8 @@ class SweepResult:
 
 def _sweep_one(spec: ScenarioSpec):
     rec = simulate(spec)
-    if rec.stop_reason not in (STOP_CONVERGED, STOP_EQUILIBRIUM):
-        return rec.classification, None, None
-    tol = spec.tol if rec.backend == FLOAT else 0
-    return rec.classification, len(single_linkage_groups(rec.final_opinions, tol)), rec.total_steps
+    hit = None if rec.cluster_count is None else rec.total_steps
+    return rec.classification, rec.cluster_count, hit
 
 
 def batch_sweep(specs, jobs: int = 1) -> SweepResult:

@@ -7,15 +7,16 @@ within tens of steps).
 
 Exact kernels (k-NN distances, means, extremal agents) do not add or
 compare Fractions one by one: they work on the values written as integer
-numerators over a common denominator D (common_numerators gives the least
-one; a Configuration carries its own from step to step and hands them out
-as its order_keys()). Scaling by a positive D keeps every order and every
-tie, so results are the same as with Fraction arithmetic, and a mean is one
-Fraction(sum, D * len) with a single gcd.
+numerators over a common denominator D; an exact Configuration stores only
+its canonical (N, D), the least D of common_numerators. Scaling by a
+positive D keeps every order and every tie, so results are the same as with
+Fraction arithmetic, and a mean is one Fraction(sum, D * len), one gcd.
 
 The backend is decided where a state is built (Configuration, simulate's
 backend); the hot paths then call the typed kernels mean_float and
-mean_exact. coerce_all and the dispatching mean_of serve the API edges.
+mean_exact. coerce_all serves the API edges. The dispatching mean_of has
+no caller in the package; it stays for callers that do not know the
+backend, and as the oracle for mean_float.
 
 Float backend: IEEE-754 binary64.
 

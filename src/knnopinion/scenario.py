@@ -195,6 +195,14 @@ def int_at_least(value, least) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _seed(raw: dict, key: str, where: str = ""):
+    """raw[key] (default 0) as a SeededRng seed: an int, not a bool, or a str."""
+    value = raw.get(key, 0)
+    _require(isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)),
+             f"{where}{key}", "must be an integer or a string")
+    return value
+
+
 def parse_scalar_field(raw, field_name):
     """parse_scalar, with any rejection reported against field_name."""
     try:
@@ -262,7 +270,7 @@ def parse_initial(raw, where="initial.") -> InitialSpec:
         return InitialSpec(kind=kind, n=n,
                            low=_finite_float(raw.get("low", 0.0), f"{where}low"),
                            high=_finite_float(raw.get("high", 1.0), f"{where}high"),
-                           seed=raw["seed"])
+                           seed=_seed(raw, "seed", where))
     if kind == "explicit":
         _known_fields(raw, ("kind", "opinions"), where)
         ops = raw.get("opinions")
@@ -293,7 +301,7 @@ def _parse_schedule(raw) -> ScheduleSpec:
     if kind == "uniform_random":
         _known_fields(raw, ("kind", "seed"), "schedule.")
         _require("seed" in raw, "schedule.seed", "is required")
-        return ScheduleSpec(kind=kind, seed=raw["seed"])
+        return ScheduleSpec(kind=kind, seed=_seed(raw, "seed", "schedule."))
     if kind == "explicit":
         _known_fields(raw, ("kind", "agents"), "schedule.")
         agents = raw.get("agents")
@@ -365,7 +373,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
 
     spec = ScenarioSpec(
         model=model, initial=initial, schedule=schedule, events=events,
-        event_seed=raw.get("event_seed", 0),
+        event_seed=_seed(raw, "event_seed"),
         max_steps=raw.get("max_steps", DEFAULT_MAX_STEPS),
         tol=_finite_float(raw.get("tol", DEFAULT_TOL), "tol"),
         record_every=raw.get("record_every", 1),
@@ -447,11 +455,11 @@ def parse_robustness(raw, mode) -> dict:
     max_steps = _count(raw, "max_steps", 10**5, 0)
     tol = _finite_float(raw.get("tol", 1e-12 if mode == "add" else 1e-9), "tol")
     _require(tol > 0, "tol", "must be positive")
-    kwargs = dict(base=base, k=k, abc_d=abc_d, schedule_seed=raw.get("schedule_seed", 0),
+    kwargs = dict(base=base, k=k, abc_d=abc_d, schedule_seed=_seed(raw, "schedule_seed"),
                   max_steps=max_steps, tol=tol)
     if mode == "add":
         kwargs["additions"] = _parse_additions(raw.get("additions", []),
-                                               raw.get("addition_seed", 0), max_steps)
+                                               _seed(raw, "addition_seed"), max_steps)
     else:
         remove = _count(raw, "remove", None, 1)
         _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")

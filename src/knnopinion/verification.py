@@ -6,6 +6,7 @@ equilibrium constructions. Everything runs on the exact backend.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,15 +53,15 @@ def random_cluster_layout(n: int, rng: SeededRng) -> Configuration:
 
 def verify_cluster_size_equivalence(trials: int, seed, n_max: int = 30) -> VerifierReport:
     """is_clustered(x, k) must coincide with (min same-opinion group size
-    >= k) on random layouts; the size side is recomputed here, independently
-    of the neighbor-based definition."""
+    >= k) on random layouts; the size side is counted here from equal keys,
+    independently of the neighbor-based definition and of the grouping."""
     rng = SeededRng(seed).derive("cluster-size")
 
     def case():
         n = 1 + rng.randbelow(n_max)
         k = 1 + rng.randbelow(n)
         config = random_cluster_layout(n, rng)
-        if is_clustered(config, k) != (partition_clusters(config).min_size() >= k):
+        if is_clustered(config, k) != (min(Counter(config.keys).values()) >= k):
             return {"n": n, "k": k, "config": [str(v) for v in config.opinions]}
         return None
 
@@ -73,7 +74,7 @@ def verify_clustered_implies_equilibrium(trials: int, seed, n_max: int = 30) -> 
     def case():
         n = 1 + rng.randbelow(n_max)
         config = random_cluster_layout(n, rng)
-        k = partition_clusters(config).min_size()  # the layout is clustered at this k
+        k = min(Counter(config.keys).values())  # the layout is clustered at this k
         if not is_clustered(config, k):
             return {"reason": "layout not clustered at k=min size"}
         if not is_equilibrium(config, k).is_equilibrium:
@@ -93,8 +94,7 @@ def verify_floor_bound_tight(n_max: int = 20) -> VerifierReport:
             config = Configuration(
                 [Fraction(gi) for gi, size in enumerate(sizes) for _ in range(size)]
             )
-            groups = partition_clusters(config).groups
-            if len(groups) != count or not is_clustered(config, k):
+            if len(partition_clusters(config).groups) != count or not is_clustered(config, k):
                 return VerifierReport(
                     name="floor_bound_tight", passed=False,
                     detail={"n": n, "k": k, "sizes": sizes},

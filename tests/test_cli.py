@@ -310,6 +310,11 @@ ROBUST_REMOVE = {
     ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
                                                                 "low": 0.9, "high": 0.1}}]),
      "additions[0].opinion.low"),
+    ("add", dict(ROBUST_ADD, addition_seed=None), "addition_seed"),
+    ("add", dict(ROBUST_ADD, addition_seed=[1]), "addition_seed"),
+    ("add", dict(ROBUST_ADD, schedule_seed=2.5), "schedule_seed"),
+    ("remove", dict(ROBUST_REMOVE, schedule_seed={}), "schedule_seed"),
+    ("remove", dict(ROBUST_REMOVE, schedule_seed=True), "schedule_seed"),
 ])
 def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
     spec = write_json(tmp_path / "r.json", document)
@@ -351,6 +356,13 @@ UNIFORM_ADD = {"kind": "uniform_random", "low": 0.8, "high": 0.2}
     ({"events": [dict(ADD_EVENT, opinion=UNIFORM_ADD)]}, "events[0].opinion.low"),
     ({"events": [dict(ADD_EVENT, opinion=0.5, step=20001)]}, "events[0].step"),
     ({"events": [dict(ADD_EVENT, opinion=0.5), dict(ADD_EVENT, opinion=0.5)]}, "events"),
+    # a seed is an integer or a string: null used to run as the string "None"
+    ({"initial": dict(SCENARIO["initial"], seed=None)}, "initial.seed"),
+    ({"initial": dict(SCENARIO["initial"], seed=2.5)}, "initial.seed"),
+    ({"schedule": {"kind": "uniform_random", "seed": [1]}}, "schedule.seed"),
+    ({"schedule": {"kind": "uniform_random", "seed": {}}}, "schedule.seed"),
+    ({"event_seed": 2.5}, "event_seed"),
+    ({"event_seed": None}, "event_seed"),
 ])
 def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
     spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
@@ -372,6 +384,8 @@ def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
     ({"max_steps": True}, "max_steps"),
     ({"max_steps": False}, "max_steps"),
     ({"record_every": True}, "record_every"),
+    ({"schedule": {"kind": "uniform_random", "seed": True}}, "schedule.seed"),
+    ({"event_seed": False}, "event_seed"),
 ])
 def test_simulate_rejects_booleans_as_integers(tmp_path, capsys, change, field):
     spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))

@@ -147,18 +147,23 @@ def test_parameter_errors():
         Configuration([])
 
 
-@pytest.mark.parametrize("config", [
-    Configuration([F(1, 3), F(0), 2]),
-    Configuration([0.5, -0.0, 2.0, 0.0]),
-    # carries numerators over D = 4, not the least denominator 2
-    knn_update(Configuration([F(0), F(1, 2), F(1)]), 1, 2).replace(1, F(1, 2)),
+@pytest.mark.parametrize("config, den", [
+    (Configuration([F(1, 3), F(0), 2]), 3),
+    (Configuration([0.5, -0.0, 2.0, 0.0]), None),
+    # the update stores [1/4, 1/2, 1] over D = 4; the replace reduces
+    # [2, 2, 4] / 4 to [1, 1, 2] / 2. Nothing has read its opinions yet, so
+    # it is pickled and copied as built, with no opinion tuple.
+    (knn_update(Configuration([F(0), F(1, 2), F(1)]), 1, 2).replace(1, F(1, 2)), 2),
 ], ids=["exact", "float", "exact-carrying-numerators"])
-def test_configuration_pickles_and_copies(config):
+def test_configuration_pickles_and_copies(config, den):
+    assert config.den == den
     for twin in (pickle.loads(pickle.dumps(config)), copy.copy(config), copy.deepcopy(config)):
         assert twin == config and twin.backend == config.backend
+        assert hash(twin) == hash(config)
+        assert (twin.keys, twin.den) == (config.keys, den)
         assert repr(twin.opinions) == repr(config.opinions)  # keeps the sign of zero
         if config.backend == "exact":
-            nums, den = twin.numerators()
+            nums, den = twin.keys, twin.den
             assert [F(m, den) for m in nums] == list(config.opinions)
             assert knn_update(twin, 2, 3) == knn_update(config, 2, 3)
 
@@ -171,9 +176,8 @@ def test_replace_keeps_one_backend():
     # a plain int takes the configuration's backend, as in Configuration()
     assert type(exact.replace(1, 3).opinion(1)) is Fraction
     assert repr(floats.replace(2, 3).opinions) == "(1.0, 3.0)"
-    exact.numerators()
-    nums, den = exact.replace(2, 5).numerators()
-    assert (list(nums), den) == ([1, 5], 1)
+    replaced = exact.replace(2, 5)
+    assert (list(replaced.keys), replaced.den) == ([1, 5], 1)
 
 
 # Differential tests of the sorted opinion index against the sort-based

@@ -128,20 +128,30 @@ CHAIN_STEPS = st.lists(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(STATES, CHAIN_STEPS)
 def test_carried_numerators_match_a_fresh_configuration(values, steps):
-    state = Configuration(values)
+    state, expected = Configuration(values), [F(v) for v in values]
     for op, i, arg in steps:
         agent = i % state.n + 1
         if op == "update":
             k = arg % state.n + 1
-            fresh = knn_update(Configuration(state.opinions), agent, k)
+            fresh = knn_update(Configuration(expected), agent, k)
             state = knn_update(state, agent, k)
             assert state == fresh
+            expected[agent - 1] = fresh.opinion(agent)
         else:
             state = state.replace(agent, F(arg))
-        nums, den = state.numerators()
-        assert den >= 1
-        assert [F(m, den) for m in nums] == list(state.opinions)
-        again = Configuration(state.opinions)
+            expected[agent - 1] = F(arg)
+        nums, den = state.keys, state.den
+        # (N, D) stays canonical: D is the least common denominator
+        assert den >= 1 and math.gcd(den, *nums) == 1
+        assert [F(m, den) for m in nums] == expected
+        assert state.opinion(agent) == expected[agent - 1]
+        assert state.opinions == tuple(expected)   # built on this first read
+        again = Configuration(expected)
+        scale = i % 5 + 2
+        scaled = Configuration._from_keys([m * scale for m in nums], den * scale)
+        for twin in (again, scaled):
+            assert twin == state and hash(twin) == hash(state)
+            assert (twin.keys, twin.den) == (nums, den)
         assert mu_index(state) == mu_index(again)
         assert big_m_index(state) == big_m_index(again)
         assert diameter(state) == max(state.opinions) - min(state.opinions)
