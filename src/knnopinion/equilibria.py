@@ -108,12 +108,13 @@ def is_clustered(config: Configuration, k: int) -> bool:
     """True iff every agent's neighbor set is homogeneous at its own opinion.
 
     Computed from the definition, then cross-checked against the equivalent
-    size criterion (every same-opinion group has >= k members); a mismatch
-    would be an implementation bug and raises.
+    size criterion (every same-opinion group has >= k members), counted from
+    the groups of equal keys; a mismatch would be an implementation bug and
+    raises.
     """
     _require_exact(config, "is_clustered")
     by_definition = _first_mixed_neighborhood(config, k) is None
-    by_sizes = partition_clusters(config).min_size() >= k
+    by_sizes = min(map(len, single_linkage_groups(config.keys, 0))) >= k
     if by_definition != by_sizes:
         raise RuntimeError(
             f"cluster-size equivalence violated for {config!r}, k={k}"

@@ -4,13 +4,24 @@ hand-rolled SVG line plot, plus the JSON metadata sidecar.
 CSV contract: header ``step,agent_id,opinion``; one row per present agent at
 every recorded step; agent ids are 1-based; floats carry 17 significant
 digits, rationals print as ``p/q``. Rows are ordered by step, then agent id.
-Unchanged opinions, by identity, reuse their text from the previous snapshot.
+
+Both writers work in whole-snapshot passes. Consecutive snapshots with equal
+ids form a block (an add or remove event starts a new one). A block's first
+snapshot formats every entry with one ``map``. Each later snapshot copies
+the texts of the one before and reformats only its changed positions, which
+one scan finds: the entries whose opinion is not the same object as before.
+Identity, not ==, since 0.0 == -0.0 but the two print differently. The SVG
+transposes each block: an agent's points in it are one join that interleaves
+the block's x prefixes with the agent's column of y texts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
+from itertools import chain, compress
+from operator import is_not
+from typing import NamedTuple
 
 from .harness import TrajectoryRecord
 from .numerics import FLOAT, format_scalar
@@ -18,30 +29,59 @@ from .numerics import FLOAT, format_scalar
 CSV_HEADER = "step,agent_id,opinion"
 
 
-def _snapshot_texts(record: TrajectoryRecord, text):
-    """Yield each snapshot's ids with ``text(agent, opinion)`` of its entries.
-    While the ids stay the same, an opinion that is the same object as in the
-    previous snapshot keeps its text: identity, not ==, since 0.0 == -0.0."""
-    prev_ids = prev_opinions = prev_texts = None
-    for ids, opinions in record.snapshots:
-        if ids != prev_ids:   # no opinion is None, so every entry is formatted
-            prev_opinions = prev_texts = (None,) * len(ids)
-        texts = [t if v is p else text(a, v)
-                 for a, v, p, t in zip(ids, opinions, prev_opinions, prev_texts)]
-        yield ids, texts
-        prev_ids, prev_opinions, prev_texts = ids, opinions, texts
+class _Block(NamedTuple):
+    ids: tuple
+    steps: list      # recorded step of each snapshot
+    opinions: list   # opinions tuple of each snapshot
+    changed: list    # per snapshot after the first: positions of new objects
+
+
+def _blocks(record: TrajectoryRecord) -> list:
+    """The record's snapshots split into blocks of consecutive equal ids."""
+    blocks = []
+    block = prev = None
+    for step, (ids, opinions) in zip(record.recorded_steps, record.snapshots):
+        if block is not None and ids == block.ids:
+            block.changed.append(list(compress(range(len(ids)), map(is_not, opinions, prev))))
+            block.steps.append(step)
+            block.opinions.append(opinions)
+        else:
+            block = _Block(ids, [step], [opinions], [])
+            blocks.append(block)
+        prev = opinions
+    return blocks
+
+
+def _snapshot_texts(block: _Block, text):
+    """Yield ``text(agent, opinion)`` of every entry of each snapshot of the
+    block, reformatting after the first snapshot only the changed positions."""
+    ids = block.ids
+    texts = list(map(text, ids, block.opinions[0]))
+    yield texts
+    for opinions, changed in zip(block.opinions[1:], block.changed):
+        texts = texts.copy()
+        for i in changed:
+            texts[i] = text(ids[i], opinions[i])
+        yield texts
 
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
-    fmt = "{:.17g}".format if record.backend == FLOAT else format_scalar
-    lines = [CSV_HEADER]
-    rows = _snapshot_texts(record, lambda agent, v: f"{agent},{fmt(v)}")
-    for step, (_, texts) in zip(record.recorded_steps, rows):
-        lines.append(f"{step}," + f"\n{step},".join(texts))
-    return "\n".join(lines) + "\n"
+    if record.backend == FLOAT:
+        text = "{},{:.17g}".format
+    else:
+        def text(agent, v):
+            return f"{agent},{format_scalar(v)}"
+    chunks = [CSV_HEADER]
+    for block in _blocks(record):
+        for step, texts in zip(block.steps, _snapshot_texts(block, text)):
+            row = f"\n{step},"   # each row of a snapshot starts with this
+            chunks += row, row.join(texts)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def trajectory_metadata(record: TrajectoryRecord, spec=None) -> dict:
+    fmt = "{:.17g}".format if record.backend == FLOAT else format_scalar
     meta = {
         "name": record.name,
         "backend": record.backend,
@@ -49,7 +89,7 @@ def trajectory_metadata(record: TrajectoryRecord, spec=None) -> dict:
         "total_steps": record.total_steps,
         "classification": record.classification,
         "final_ids": list(record.final_ids),
-        "final_opinions": [format_scalar(v) for v in record.final_opinions],
+        "final_opinions": list(map(fmt, record.final_opinions)),
         "events": record.events_log,
         "initial_diameter": format_scalar(record.maxs[0] - record.mins[0]),
         "final_diameter": format_scalar(record.maxs[-1] - record.mins[-1]),
@@ -64,8 +104,12 @@ def trajectory_to_svg(record: TrajectoryRecord) -> str:
     Agents appearing mid-run (additions) start where they appear."""
     width, height, margin = 640, 400, 40.0
     max_step = max(record.recorded_steps[-1], 1)
-    lo = float(min(min(opinions) for _, opinions in record.snapshots))
-    hi = float(max(max(opinions) for _, opinions in record.snapshots))
+    blocks = _blocks(record)
+    # every opinion is in its block's first snapshot or at a changed position
+    moved = [opinions[i] for b in blocks
+             for opinions, changed in zip(b.opinions[1:], b.changed) for i in changed]
+    lo = float(min(chain((min(b.opinions[0]) for b in blocks), moved)))
+    hi = float(max(chain((max(b.opinions[0]) for b in blocks), moved)))
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     elif 0 in (lo, hi):
@@ -89,17 +133,24 @@ def trajectory_to_svg(record: TrajectoryRecord) -> str:
     ]
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
-    y_texts = _snapshot_texts(
-        record, lambda _, v: f"{height - margin - span_y * (float(v) - lo) / (hi - lo):.2f}")
-    points = defaultdict(list)
-    for step, (ids, texts) in zip(record.recorded_steps, y_texts):
-        x = f"{margin + (width - 2 * margin) * step / max_step:.2f},"
-        for agent, y in zip(ids, texts):
-            points[agent].append(x + y)
-    for agent in sorted(points):
+
+    def y_text(_, v):
+        return f"{height - margin - span_y * (float(v) - lo) / (hi - lo):.2f}"
+
+    segments = defaultdict(list)   # agent -> its points in each block it spans
+    for block in blocks:
+        # even slots: the x prefixes of the block's steps; odd: an agent's y texts
+        points = [None] * (2 * len(block.steps))
+        points[0::2] = [f" {margin + (width - 2 * margin) * step / max_step:.2f},"
+                        for step in block.steps]
+        points[0] = points[0][1:]   # no space before an agent's first point
+        for agent, column in zip(block.ids, zip(*_snapshot_texts(block, y_text))):
+            points[1::2] = column
+            segments[agent].append("".join(points))
+    for agent in sorted(segments):
         color = palette[(agent - 1) % len(palette)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
-                     f'points="{" ".join(points[agent])}"/>')
+                     f'points="{" ".join(segments[agent])}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -113,8 +164,7 @@ def write_run_outputs(record: TrajectoryRecord, prefix: str, spec=None) -> list:
     paths.append(csv_path)
     meta_path = f"{prefix}.meta.json"
     with open(meta_path, "w") as fh:
-        json.dump(trajectory_metadata(record, spec), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(trajectory_metadata(record, spec), indent=2) + "\n")
     paths.append(meta_path)
     svg_path = f"{prefix}.svg"
     with open(svg_path, "w") as fh:

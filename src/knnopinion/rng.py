@@ -17,11 +17,17 @@ import random
 
 class SeededRng:
     """One reproducible stream. Seeds may be ints or strings; named
-    substreams are derived as "<seed>:<name>"."""
+    substreams are derived as "<seed>:<name>". The generator is seeded on
+    the first draw, so a stream that only derives others seeds nothing."""
 
     def __init__(self, seed):
         self.seed = seed
+        self._r = None
+
+    def _seeded(self) -> random.Random:
+        seed = self.seed
         self._r = random.Random(seed if isinstance(seed, int) else str(seed))
+        return self._r
 
     def derive(self, name: str) -> "SeededRng":
         return SeededRng(f"{self.seed}:{name}")
@@ -31,13 +37,14 @@ class SeededRng:
         if m <= 0:
             raise ValueError("bound must be positive")
         bits = (m - 1).bit_length() or 1
+        r = self._r or self._seeded()
         while True:
-            v = self._r.getrandbits(bits)
+            v = r.getrandbits(bits)
             if v < m:
                 return v
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self._r.random()
+        return lo + (hi - lo) * (self._r or self._seeded()).random()
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates driven by randbelow, in place."""

@@ -41,6 +41,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .dynamics import Configuration
@@ -170,8 +171,6 @@ class ScenarioSpec:
 
 
 def _scalar_to_json(value):
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
         return format_scalar(value)
     return value

@@ -46,9 +46,9 @@ def random_cluster_layout(n: int, rng: SeededRng) -> Configuration:
     rng.shuffle(opinions)
     values = []
     for gi, size in enumerate(sizes):
-        values.extend([Fraction(opinions[gi])] * size)
+        values.extend([opinions[gi]] * size)
     rng.shuffle(values)
-    return Configuration(values)
+    return Configuration._from_keys(values, 1)   # integer opinions: keys over 1
 
 
 def verify_cluster_size_equivalence(trials: int, seed, n_max: int = 30) -> VerifierReport:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from knnopinion import equilibria
 from knnopinion.dynamics import Configuration
 from knnopinion.equilibria import (
     FloatBackendError,
@@ -79,6 +80,18 @@ def test_is_clustered_paper_cases():
     assert is_clustered(two_tens, 5)
     assert not is_clustered(build_tie_counterexample(F(0), F(1)), 3)
     assert is_clustered(Configuration([F(5)] * 4), 4)
+
+
+@pytest.mark.parametrize("mixed", [None, (1, (1, 2))])
+def test_is_clustered_raises_when_definition_and_sizes_disagree(monkeypatch, mixed):
+    """The size cross-check is a second computation: a neighbour rule that
+    disagrees with the group sizes is reported, not returned."""
+    monkeypatch.setattr(equilibria, "_first_mixed_neighborhood", lambda config, k: mixed)
+    # groups of sizes 2 and 1: not clustered at k=2, clustered at k=1
+    config = Configuration([F(0), F(0), F(1)])
+    k = 2 if mixed is None else 1
+    with pytest.raises(RuntimeError, match="cluster-size equivalence violated"):
+        is_clustered(config, k)
 
 
 def test_max_cluster_count():

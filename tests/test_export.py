@@ -6,13 +6,17 @@ snapshot a tuple of it, so an opinion nobody moved is the same object in
 consecutive snapshots. Hypothesis draws float and exact records with moves,
 add and remove events (the ids change mid-run), record_every 1 to 3 and
 opinions from pools that hold both zeros, so an opinion can flip between
-0.0 and -0.0, which are equal but print differently. The CSV and SVG must
-match the literal writers byte for byte.
+0.0 and -0.0, which are equal but print differently. Named records add the
+block boundaries the exporters split on (an agent removed, an agent added
+and then left still, ids changing only at the last snapshot) and two
+`simulate` records, one float at n=300 and one exact with a remove event.
+The CSV and SVG must match the literal writers byte for byte.
 """
 
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +66,24 @@ def records(draw):
     return record_of(EXACT if exact else FLOAT, states, draw(st.sampled_from([1, 1, 2, 3])))
 
 
+def run_of(backend, opinions, steps, record_every=1):
+    """A record of one mutable state, as `simulate` keeps it. Agents start
+    as 1..n; each step may add an agent ("add": its opinion) or remove one
+    ("remove": its position), then moves positions ("move": {pos: value})."""
+    ids, opinions = list(range(1, len(opinions) + 1)), list(opinions)
+    states = [(list(ids), list(opinions))]
+    for step in steps:
+        if "add" in step:
+            ids.append(ids[-1] + 1)
+            opinions.append(step["add"])
+        if "remove" in step:
+            del ids[step["remove"]], opinions[step["remove"]]
+        for pos, value in step.get("move", {}).items():
+            opinions[pos] = value
+        states.append((list(ids), list(opinions)))
+    return record_of(backend, states, record_every)
+
+
 FLIPPING_ZERO = record_of(FLOAT, [([1, 2], [0.5, 0.0]), ([1, 2], [0.5, -0.0]),
                                   ([1, 2], [0.5, 0.0]), ([1, 2], [-0.0, 0.0])])
 CONSTANT = record_of(EXACT, [([1, 2, 3], [F(1, 3)] * 3)] * 4)
@@ -69,6 +91,68 @@ CONSTANT = record_of(EXACT, [([1, 2, 3], [F(1, 3)] * 3)] * 4)
 # agent by agent, and the range label keeps that one's sign
 ZERO_LOW = record_of(FLOAT, [([1, 2], [0.5, -0.0]), ([1, 2], [0.0, -0.0])])
 ZERO_HIGH = record_of(FLOAT, [([1, 2], [-0.5, -0.0]), ([1, 2], [0.0, -0.0])])
+
+
+# agent 2 leaves at step 3, while the others keep moving
+REMOVED_MID_RUN = run_of(FLOAT, [0.1, 0.4, 0.6, 0.9], [
+    {"move": {0: 0.2}}, {"move": {3: 0.8}}, {"remove": 1, "move": {0: 0.3}},
+    {"move": {2: 0.5}}, {"move": {0: -0.0}}, {"move": {1: 0.55}}])
+# agent 4 joins at step 2 and then never moves, over five more snapshots
+ADDED_THEN_STILL = run_of(EXACT, [F(0), F(1, 3), F(1)], [
+    {"move": {0: F(1, 4)}}, {"add": F(1, 2), "move": {1: F(1, 2)}},
+    *({"move": {i % 3: F(i, 7)}} for i in range(1, 11))], record_every=2)
+# the ids change only at the last snapshot, a block of its own
+IDS_CHANGE_AT_LAST = run_of(FLOAT, [0.0, 0.25, 1.0], [
+    {"move": {0: 0.125}}, {"move": {2: 0.75}}, {"move": {1: 0.5}},
+    {"remove": 0, "move": {0: 0.625}}])
+
+
+def simulated(document):
+    return simulate(parse_scenario(document))
+
+
+FLOAT_SIMULATE = simulated({
+    "model": {"kind": "knn", "k": 10},
+    "initial": {"kind": "uniform_random", "n": 300, "low": -1.0, "high": 1.0, "seed": 5},
+    "schedule": {"kind": "uniform_random", "seed": 6},
+    "max_steps": 150,
+    "record_every": 7,
+})
+EXACT_SIMULATE = simulated({
+    "model": {"kind": "knn", "k": 2},
+    "initial": {"kind": "explicit", "opinions": ["0", "1/3", "1/2", "2/3", "3/4", "1"]},
+    "schedule": {"kind": "uniform_random", "seed": 2},
+    "events": [{"kind": "remove", "step": 5, "agent": 3}],
+    "max_steps": 16,
+    "record_every": 2,
+})
+NAMED = {"removed-mid-run": REMOVED_MID_RUN, "added-then-still": ADDED_THEN_STILL,
+         "ids-change-at-last": IDS_CHANGE_AT_LAST, "float-simulate": FLOAT_SIMULATE,
+         "exact-simulate": EXACT_SIMULATE}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_records_match_the_literal_writers(name):
+    record = NAMED[name]
+    assert export.trajectory_to_csv(record) == reference_csv(record)
+    assert export.trajectory_to_svg(record) == reference_svg(record)
+
+
+def test_the_named_records_reach_the_cases_they_name():
+    def agents_at(record):
+        return [ids for ids, _ in record.snapshots]
+
+    assert [2 in ids for ids in agents_at(REMOVED_MID_RUN)] == [True] * 3 + [False] * 4
+    still = [(ids, opinions) for ids, opinions in ADDED_THEN_STILL.snapshots if 4 in ids]
+    assert len(still) == 6 and all(ids == still[0][0] for ids, _ in still)
+    assert all(opinions[3] is still[0][1][3] for _, opinions in still)
+    ids = agents_at(IDS_CHANGE_AT_LAST)
+    assert len(set(ids[:-1])) == 1 and ids[-1] != ids[-2]
+    assert len(FLOAT_SIMULATE.final_ids) == 300 and FLOAT_SIMULATE.backend == FLOAT
+    assert FLOAT_SIMULATE.recorded_steps[:3] == [0, 7, 14]
+    assert EXACT_SIMULATE.backend == EXACT
+    assert EXACT_SIMULATE.events_log[0]["kind"] == "remove"
+    assert len(set(agents_at(EXACT_SIMULATE))) == 2
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
