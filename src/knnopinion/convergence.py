@@ -18,7 +18,7 @@ from .dynamics import (
     ParameterError,
     _check_k,
     diameter,
-    knn_neighbors,
+    knn_indices,
     knn_update,
 )
 from .numerics import Scalar
@@ -64,7 +64,10 @@ def scan_trials(name: str, trials: int, case: Callable[[], Optional[dict]],
                 passed_detail: dict) -> VerifierReport:
     """Call `case` `trials` times; it draws and checks one random instance
     and returns None, or the detail of a failure. The first failure is
-    reported under `name` with its trial index."""
+    reported under `name` with its trial index. A scan of no trials would
+    certify nothing, so trials < 1 raises."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     for t in range(trials):
         detail = case()
         if detail is not None:
@@ -86,13 +89,12 @@ def extremal_selection(config: Configuration, k: int) -> ExtremalSelection:
     _check_k(k, config.n)
     mu = mu_index(config)
     big_m = big_m_index(config)
-    keys = config.keys
-
-    def key(j):
-        return keys[j - 1]
-
-    y = config.opinion(max(knn_neighbors(config, mu, k).members, key=key))
-    z = config.opinion(min(knn_neighbors(config, big_m, k).members, key=key))
+    keys, den = config.keys, config.den
+    # max/min keep the first of equal keys in selection order (a float's signed zero)
+    y = max([keys[j] for j in knn_indices(keys, mu - 1, k)])
+    z = min([keys[j] for j in knn_indices(keys, big_m - 1, k)])
+    if den is not None:
+        y, z = Fraction(y, den), Fraction(z, den)
     return ExtremalSelection(mu=mu, big_m=big_m, y=y, z=z)
 
 
@@ -115,7 +117,7 @@ def check_z_le_y(n: int, k: int, trials: int, seed) -> VerifierReport:
     smallest values strictly below the k largest, giving z > y exactly.
     """
     _check_k(k, n)
-    if trials < 1:
+    if trials < 1:   # here too: the n >= 2k witness runs no scan
         raise ParameterError("trials must be >= 1")
     if n < 2 * k:
         rng = SeededRng(seed).derive(f"zy:{n}:{k}")
@@ -175,9 +177,10 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
     bit-constant."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
+    _check_k(k, config.n)
 
-    members0 = set(knn_neighbors(config, mu_index(config), k).members)
-    y0 = max(config.opinion(j) for j in members0)
+    members0 = set(knn_indices(config.keys, mu_index(config) - 1, k))
+    y0 = max(config.opinions[j] for j in members0)
     run = run_schedule_tags(config, k, [MU] * steps)
 
     def fail(step, reason):
@@ -190,20 +193,20 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
 
     for t, mu in enumerate(run.updaters):
         state, ops, after = run.states[t], run.states[t].opinions, run.states[t + 1].opinions
-        members = set(knn_neighbors(state, mu, k).members)
+        members = set(knn_indices(state.keys, mu - 1, k))
         if members != members0:
             return fail(t, "neighbor set of the minimal agent changed")
-        y = max(ops[j - 1] for j in members)
+        y = max(ops[j] for j in members)
         if y != y0:
             return fail(t, "y changed")
-        for j in config.agents():
+        for j in range(config.n):
             if j in members0:
-                if after[j - 1] < ops[j - 1]:
-                    return fail(t, f"member {j} decreased")
-                if after[j - 1] > y0:
-                    return fail(t, f"member {j} exceeded y(0)")
-            elif after[j - 1] != ops[j - 1]:
-                return fail(t, f"non-member {j} moved")
+                if after[j] < ops[j]:
+                    return fail(t, f"member {j + 1} decreased")
+                if after[j] > y0:
+                    return fail(t, f"member {j + 1} exceeded y(0)")
+            elif after[j] != ops[j]:
+                return fail(t, f"non-member {j + 1} moved")
     return VerifierReport(
         name="mu_monotonicity", passed=True, detail={"steps": steps}
     )
@@ -215,7 +218,7 @@ def verify_lemma3_contraction(config: Configuration, k: int) -> VerifierReport:
     sel0 = extremal_selection(config, k)
     lo0 = min(config.opinions)
     state = run_schedule_tags(config, k, [MU] * (k - 1)).states[-1]
-    y_end = max(state.opinion(j) for j in knn_neighbors(state, mu_index(state), k).members)
+    y_end = max(state.opinions[j] for j in knn_indices(state.keys, mu_index(state) - 1, k))
     lo_end = min(state.opinions)
     lhs = y_end - lo_end
     rhs = (1 - Fraction(1, k)) * (sel0.y - lo0)

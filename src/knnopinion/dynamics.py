@@ -12,7 +12,8 @@ A Configuration stores one form, `keys` over `den`: an exact state's integer
 numerators N over their least common denominator D, or a float state's
 floats with den None. Scaling by a positive D keeps every distance order and
 every exact tie, so knn_neighbors, knn_update and diameter work on the
-stored keys, and an exact state builds no Fraction for them.
+stored keys, and an exact state builds no Fraction for them; knn_update and
+replace write through one exact store that takes the value as a ratio p/q.
 
 knn_indices is the literal rule and the oracle: one stable sort of all n
 agents by the computed distance abs(v - x_i), so equal distances stay in id
@@ -130,7 +131,7 @@ class Configuration:
         # only value is checked, so the costly re-coercion of Configuration()
         # is skipped; a plain int converts as in coerce_all
         self._check_agent(i)
-        keys, den = list(self.keys), self.den
+        den = self.den
         if type(value) is not (float if den is None else Fraction):
             if isinstance(value, int) and not isinstance(value, bool):
                 value = float(value) if den is None else Fraction(value)
@@ -138,13 +139,19 @@ class Configuration:
                 raise BackendError(
                     f"cannot put a {backend_of(value)} value into a {self.backend} configuration")
         if den is not None:
-            # p/q over D' = lcm(D, q): N rescales only when q does not divide D
-            p, q = value.as_integer_ratio()
-            lcm = math.lcm(den, q)
-            if lcm != den:
-                keys = [m * (lcm // den) for m in keys]
-            den, value = lcm, p * (lcm // q)
+            return self._put_ratio(i - 1, *value.as_integer_ratio())
+        keys = list(self.keys)
         keys[i - 1] = value
+        return Configuration._from_keys(keys, den)
+
+    def _put_ratio(self, idx: int, p: int, q: int) -> "Configuration":
+        """This exact state with position idx (0-based) set to p/q, q > 0: p/q
+        reduced, N rescaled only if D' = lcm(D, q) != D, the last gcd left to _from_keys."""
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        den = math.lcm(self.den, q)
+        keys = list(self.keys) if den == self.den else [m * (den // self.den) for m in self.keys]
+        keys[idx] = p * (den // q)
         return Configuration._from_keys(keys, den)
 
     def without(self, i: int) -> "Configuration":
@@ -277,7 +284,10 @@ def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:
     _check_k(k, config.n)
     config._check_agent(i)
-    return config.replace(i, _config_mean(config, knn_indices(config.keys, i - 1, k)))
+    idxs = knn_indices(config.keys, i - 1, k)
+    if config.den is None:
+        return config.replace(i, _config_mean(config, idxs))
+    return config._put_ratio(i - 1, sum([config.keys[j] for j in idxs]), config.den * k)
 
 
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Configuration, ParameterError, _config_mean, knn_neighbors, knn_update
+from .dynamics import (Configuration, ParameterError, _check_k, _config_mean, knn_indices,
+                       knn_neighbors, knn_update)
 from .numerics import EXACT, FLOAT, BackendError, Scalar
 
 
@@ -96,11 +97,12 @@ def partition_clusters(config: Configuration) -> ClusterPartition:
 def _first_mixed_neighborhood(config: Configuration, k: int):
     """(agent, neighbor ids) of the first agent whose neighbor set holds
     another opinion than its own; None when the configuration is clustered."""
+    _check_k(k, config.n)
     keys = config.keys
-    for i in config.agents():
-        members = knn_neighbors(config, i, k).members
-        if any(keys[j - 1] != keys[i - 1] for j in members):
-            return i, members
+    for i, x in enumerate(keys):
+        idxs = knn_indices(keys, i, k)
+        if any(keys[j] != x for j in idxs):
+            return i + 1, tuple(j + 1 for j in idxs)
     return None
 
 

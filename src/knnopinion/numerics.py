@@ -10,13 +10,15 @@ compare Fractions one by one: they work on the values written as integer
 numerators over a common denominator D; an exact Configuration stores only
 its canonical (N, D), the least D of common_numerators. Scaling by a
 positive D keeps every order and every tie, so results are the same as with
-Fraction arithmetic, and a mean is one Fraction(sum, D * len), one gcd.
+Fraction arithmetic. A k-NN mean is stored as the ratio (sum of N_j, D * k):
+reduced by one gcd, over lcm(D, q), without building a Fraction.
 
 The backend is decided where a state is built (Configuration, simulate's
 backend); the hot paths then call the typed kernels mean_float and
-mean_exact. coerce_all serves the API edges. The dispatching mean_of has
-no caller in the package; it stays for callers that do not know the
-backend, and as the oracle for mean_float.
+mean_exact, except the exact k-NN update, which stores its ratio instead.
+coerce_all serves the API edges. The dispatching mean_of has no caller in
+the package; it stays for callers that do not know the backend, and as the
+oracle for mean_float.
 
 Float backend: IEEE-754 binary64.
 

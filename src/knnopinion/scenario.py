@@ -469,14 +469,14 @@ def parse_robustness(raw, mode) -> dict:
 
 def load_json(path):
     """The JSON document in the file at `path`. A document json cannot read
-    (malformed, or an integer past Python's digit limit) raises a
-    ScenarioError that names the path."""
+    (malformed, nested past the recursion limit, or an integer past Python's
+    digit limit) raises a ScenarioError that names the path."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError(f"{path}: {exc}") from None
 
 

@@ -20,7 +20,7 @@ from .convergence import (
     verify_lemma_bigm,
     verify_shrink_contraction,
 )
-from .dynamics import Configuration
+from .dynamics import Configuration, ParameterError
 from .equilibria import (
     build_example1,
     build_tie_counterexample,
@@ -148,6 +148,8 @@ def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> Ver
 
 def verify_shrink_grid(trials_per_pair: int, seed, n_max: int = 10) -> VerifierReport:
     """Exact contraction certificate for every (n, k) with n < 2k."""
+    if trials_per_pair < 1:
+        raise ParameterError("trials_per_pair must be >= 1")
     rng = SeededRng(seed).derive("shrink")
     for n in range(1, n_max + 1):
         for k in range((n // 2) + 1, n + 1):

@@ -339,6 +339,23 @@ def test_unreadable_json_names_the_file(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == [doc]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "{doc}", "--out", "{out}"],
+    ["classify", "--config", "{doc}", "--k", "1"],
+    ["robustness", "add", "--spec", "{doc}"],
+    ["sweep", "--grid", "{doc}"],
+])
+def test_deeply_nested_json_names_the_file(tmp_path, capsys, argv):
+    # json's decoder raises RecursionError past the interpreter's recursion limit
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200000 + "]" * 200000)
+    argv = [a.format(doc=doc, out=tmp_path / "run") for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doc}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [doc]
+
+
 def test_robustness_accepts_rational_abc_d(tmp_path, capsys):
     spec = write_json(tmp_path / "r.json", dict(ROBUST_ADD, abc_d="1/4"))
     assert main(["robustness", "add", "--spec", spec]) == EXIT_OK

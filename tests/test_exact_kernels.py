@@ -1,16 +1,21 @@
 """Differential tests of the exact kernels that work on integer numerators
-(knn_indices, mean_of, mu_index, big_m_index, extremal_selection) against
+(knn_indices, mean_of, mu_index, big_m_index, extremal_selection, the
+ratio store behind knn_update and replace, the clustered check) against
 the literal Fraction rules, which stay the oracle here."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnopinion.convergence import big_m_index, extremal_selection, mu_index
-from knnopinion.dynamics import (Configuration, diameter, knn_indices, knn_neighbors,
-                                 knn_update)
+from knnopinion.convergence import (big_m_index, extremal_selection, mu_index,
+                                    verify_lemma2_monotonicity, verify_lemma3_contraction)
+from knnopinion.dynamics import (Configuration, ParameterError, diameter, knn_indices,
+                                 knn_neighbors, knn_update)
+from knnopinion.equilibria import is_clustered, is_equilibrium
 from knnopinion.numerics import common_numerators, mean_exact, mean_float, mean_of
 
 F = Fraction
@@ -157,3 +162,131 @@ def test_carried_numerators_match_a_fresh_configuration(values, steps):
         assert diameter(state) == max(state.opinions) - min(state.opinions)
         for k in range(1, state.n + 1):
             assert knn_neighbors(state, agent, k) == knn_neighbors(again, agent, k)
+
+
+# The exact ratio store and the key-based neighbour reads of the verifiers,
+# against the literal Fraction rule and the knn_neighbors definitions.
+
+DIFF = settings(max_examples=200, deadline=None, derandomize=True)
+WIDE = st.one_of(EXACT, st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 6))
+
+
+def _replaced(values, writes):
+    state = Configuration(values)
+    for i, value in writes:
+        state = state.replace(i % state.n + 1, value)
+    return state
+
+
+# states built directly, and states a chain of replace calls left behind
+EXACT_STATES = st.one_of(
+    st.lists(WIDE, min_size=1, max_size=8).map(Configuration),
+    st.builds(_replaced, st.lists(WIDE, min_size=1, max_size=8),
+              st.lists(st.tuples(st.integers(min_value=0, max_value=50), WIDE), max_size=6)))
+# few distinct values, so that clustered states and tied neighbourhoods are common
+CLUSTERY = st.builds(lambda groups, order: [groups[j % len(groups)] for j in order],
+                     st.lists(WIDE, min_size=1, max_size=3),
+                     st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=10))
+
+
+def _stores(call):
+    """call()'s result and the denominators it handed to _from_keys."""
+    seen, real = [], Configuration.__dict__["_from_keys"]
+
+    def spy(cls, keys, den):
+        seen.append(den)
+        return real.__func__(cls, keys, den)
+
+    with mock.patch.object(Configuration, "_from_keys", classmethod(spy)):
+        return call(), seen
+
+
+@DIFF
+@given(EXACT_STATES)
+@example(Configuration([F(1, 2), F(3, 2), F(5, 2)]))   # a mean of halves that is an integer
+def test_exact_knn_update_is_the_literal_fraction_rule(state):
+    ops = list(state.opinions)
+    for i in range(1, state.n + 1):
+        for k in range(1, state.n + 1):
+            expected = ops.copy()
+            expected[i - 1] = sum((ops[j] for j in knn_indices(ops, i - 1, k)), F(0)) / k
+            out, dens = _stores(lambda: knn_update(state, i, k))
+            assert out.opinions == tuple(expected) and out == Configuration(expected)
+            assert math.gcd(out.den, *out.keys) == 1
+            # the mean is reduced before the lcm, so N is rescaled only when
+            # its reduced denominator does not divide D
+            assert dens == [math.lcm(state.den, expected[i - 1].denominator)]
+
+
+@DIFF
+@given(EXACT_STATES, st.integers(min_value=0, max_value=50), st.one_of(WIDE, INTS))
+def test_replace_is_a_rebuilt_configuration(state, i, value):
+    agent = i % state.n + 1
+    rebuilt = list(state.opinions)
+    rebuilt[agent - 1] = value
+    out, fresh = state.replace(agent, value), Configuration(rebuilt)
+    assert (out.keys, out.den) == (fresh.keys, fresh.den)
+    assert out.opinions == fresh.opinions
+
+
+def _literal_extremal(config, k):
+    ops = config.opinions
+    mu, big_m = ops.index(min(ops)) + 1, ops.index(max(ops)) + 1
+
+    def key(j):
+        return ops[j - 1]
+
+    y = config.opinion(max(knn_neighbors(config, mu, k).members, key=key))
+    z = config.opinion(min(knn_neighbors(config, big_m, k).members, key=key))
+    return mu, big_m, y, z
+
+
+@DIFF
+@given(st.one_of(EXACT_STATES, CLUSTERY.map(Configuration), FLOAT_LISTS.map(Configuration)))
+@example(Configuration([0.0, -0.0, 1.0, -0.0, 0.0]))
+@example(Configuration([1.0, 0.0, -0.0, -1.0, 0.0, -0.0]))
+def test_extremal_selection_is_the_knn_neighbors_definition(config):
+    for k in range(1, config.n + 1):
+        sel = extremal_selection(config, k)
+        mu, big_m, y, z = _literal_extremal(config, k)
+        assert (sel.mu, sel.big_m) == (mu, big_m)
+        # repr tells a float's signed zeros apart, and a Fraction from a float
+        assert (repr(sel.y), repr(sel.z)) == (repr(y), repr(z))
+
+
+def _literal_witnesses(config, k):
+    ops, agents = config.opinions, config.agents()
+    members = {i: knn_neighbors(config, i, k).members for i in agents}
+    witnesses = {}
+    moved = [i for i in agents if sum((ops[j - 1] for j in members[i]), F(0)) / k != ops[i - 1]]
+    if moved:
+        witnesses["equilibrium"] = {"agent": moved[0], "neighbors": list(members[moved[0]])}
+    mixed = [i for i in agents if any(ops[j - 1] != ops[i - 1] for j in members[i])]
+    if mixed:
+        witnesses["clustered"] = {"agent": mixed[0], "neighbors": list(members[mixed[0]])}
+    other = [j for j in agents if ops[j - 1] != ops[0]]
+    if other:
+        witnesses["consensus"] = {"agents": [1, other[0]]}
+    return witnesses
+
+
+@DIFF
+@given(st.one_of(CLUSTERY.map(Configuration), EXACT_STATES))
+def test_clustered_and_equilibrium_witnesses_are_the_literal_ones(config):
+    for k in range(1, config.n + 1):
+        report, expected = is_equilibrium(config, k), _literal_witnesses(config, k)
+        assert report.witnesses == expected
+        assert report.is_clustered == is_clustered(config, k) == ("clustered" not in expected)
+        assert report.is_equilibrium == ("equilibrium" not in expected)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("check", [
+    is_clustered, is_equilibrium, extremal_selection,
+    lambda config, k: verify_lemma2_monotonicity(config, k, 2),
+    verify_lemma3_contraction,
+], ids=["is_clustered", "is_equilibrium", "extremal_selection", "lemma2", "lemma3"])
+def test_key_based_reads_reject_k_out_of_range(check, k):
+    # knn_indices itself takes any k, so each reader checks 1 <= k <= n
+    with pytest.raises(ParameterError, match=f"k={k} violates"):
+        check(Configuration([0, 1, 1]), k)

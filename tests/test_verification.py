@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from knnopinion import convergence, verification
+from knnopinion.dynamics import ParameterError
 from knnopinion.verification import run_suite
 
 EXPECTED = json.loads((Path(__file__).parent / "failing_suite_reports.json").read_text())
@@ -78,3 +79,25 @@ def test_suite_draws_are_pinned(monkeypatch):
     assert len(drawn) == 2414
     assert hashlib.sha256("\n".join(drawn).encode()).hexdigest() == (
         "4f5970307e6e3170529899bfe72ec59a89e26325a0e79483fd237833004ef44b")
+
+
+BUDGETED = [
+    ("verify_cluster_size_equivalence",
+     lambda t: verification.verify_cluster_size_equivalence(t, 1)),
+    ("verify_clustered_implies_equilibrium",
+     lambda t: verification.verify_clustered_implies_equilibrium(t, 1)),
+    ("verify_counterexamples", lambda t: verification.verify_counterexamples(t, 1)),
+    ("verify_zy_dichotomy_grid", lambda t: verification.verify_zy_dichotomy_grid(t, 1)),
+    ("verify_shrink_grid", lambda t: verification.verify_shrink_grid(t, 1)),
+    ("check_z_le_y below 2k", lambda t: convergence.check_z_le_y(3, 2, t, 1)),
+    ("check_z_le_y witness", lambda t: convergence.check_z_le_y(4, 2, t, 1)),
+    ("scan_trials", lambda t: convergence.scan_trials("none", t, lambda: None, {})),
+]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("verifier", BUDGETED, ids=[name for name, _ in BUDGETED])
+def test_no_trials_is_an_error_not_a_pass(verifier, trials):
+    # a verifier that runs no trial certifies nothing, so it must not pass
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        verifier[1](trials)
