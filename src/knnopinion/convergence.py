@@ -9,7 +9,7 @@ schedule; nothing re-implements the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -57,7 +57,7 @@ class VerifierReport:
     detail: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def scan_trials(name: str, trials: int, case: Callable[[], Optional[dict]],

@@ -15,7 +15,7 @@ tolerance 0, i.e. by equal value; float opinions at a positive tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .dynamics import (Configuration, ParameterError, _check_k, _config_mean, knn_indices,
@@ -72,12 +72,7 @@ class EquilibriumReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "is_equilibrium": self.is_equilibrium,
-            "is_clustered": self.is_clustered,
-            "is_consensus": self.is_consensus,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 def _linkage_partition(config: Configuration, tolerance) -> ClusterPartition:

@@ -10,7 +10,7 @@ step from that step on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -122,8 +122,9 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
         return False
     opinions = index.opinions
     groups = single_linkage_groups(opinions, tol)
+    # each group comes sorted by opinion, so it spans its last minus its first
     if _limit_class([len(g) for g in groups], model) != CLASS_NON_CLUSTERED and all(
-        max(opinions[j] for j in g) - min(opinions[j] for j in g) < tol for g in groups
+        opinions[g[-1]] - opinions[g[0]] < tol for g in groups
     ):
         return True
     stall = max(tol * 1e-4, 4e-16)
@@ -485,14 +486,7 @@ class RemovalReport:
     resumed_classification: Optional[str]
 
     def to_jsonable(self) -> dict:
-        return {
-            "removed_agent": self.removed_agent,
-            "victim_cluster_size": self.victim_cluster_size,
-            "still_equilibrium": self.still_equilibrium,
-            "expected_equilibrium": self.expected_equilibrium,
-            "abc_unchanged": self.abc_unchanged,
-            "resumed_classification": self.resumed_classification,
-        }
+        return asdict(self)
 
 
 def robustness_removal(
@@ -532,7 +526,7 @@ def robustness_removal(
             schedule=ScheduleSpec(kind="uniform_random", seed=schedule_seed),
             max_steps=max_steps,
             tol=tol,
-            record_every=max_steps,
+            record_every=max(max_steps, 1),
             name="robustness-removal",
         )
         resumed = simulate(spec).classification

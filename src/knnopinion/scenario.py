@@ -22,12 +22,10 @@ Example document:
       "record_every": 1
     }
 
-initial kinds: uniform_random {n, low, high, seed}; explicit {opinions:
-[number | "p/q", ...]}; clusters {groups: [{opinion, size}, ...]}.
-schedule kinds: uniform_random {seed}; explicit {agents: [id, ...]};
-shrink {} (k-NN only; repeats the 2k-2 step mu/M pattern).
-event kinds: add {step, opinion: number | "p/q" | uniform_random descriptor};
-remove {step, agent}.
+Each kind of object declares its fields and defaults once, as rows
+`{key: (parse, default)}` in its spec class's FIELDS (SCENARIO_FIELDS at the
+top level, GROUP_FIELDS for a clusters group, RANDOM_OPINION_FIELDS for an
+add event's random opinion); parsing and to_dict read them in row order.
 
 The CLI's other documents parse here too: parse_configuration (classify),
 parse_robustness (robustness add|remove) and parse_grid (sweep). Every
@@ -42,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .dynamics import Configuration
@@ -50,26 +49,199 @@ from .rng import SeededRng
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_TOL = 1e-9
+REQUIRED = object()   # the default of a row whose key must be present
 
 
 class ScenarioError(ValueError):
     """Invalid scenario document; message names the offending field."""
 
 
+def _require(cond, field_name, message):
+    if not cond:
+        raise ScenarioError(f"{field_name}: {message}")
+
+
+def _fields(raw: dict, rows: dict, where: str, known=("kind",)) -> dict:
+    """{key: parse(value or default, name)} over `rows`, after rejecting a
+    key outside `known` and the rows, so that a misspelt optional field
+    cannot silently fall back to its default. An absent REQUIRED key is an
+    error; `where` prefixes every field name in messages."""
+    for key in raw:
+        if key not in rows and key not in known:
+            raise ScenarioError(f"{where}{key}: is not a known field")
+    out = {}
+    for key, (parse, default) in rows.items():
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise ScenarioError(f"{where}{key}: is required")
+        out[key] = parse(value, where + key)
+    return out
+
+
+def int_at_least(value, least) -> bool:
+    """True for an integer >= least. JSON true/false parse as Python bools,
+    which are ints too, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _as_is(value, field_name):
+    return value
+
+
+def _int_field(least, message):
+    """The row parse of an integer field >= least."""
+    def parse(value, field_name):
+        if int_at_least(value, least):
+            return value
+        raise ScenarioError(f"{field_name}: {message}")
+    return parse
+
+
+_positive = _int_field(1, "must be a positive integer")
+_agent_id = _int_field(1, "must be a positive agent id")
+_step = _int_field(0, "must be a nonnegative integer")
+
+
+def _seed(value, field_name):
+    """A SeededRng seed: an int, not a bool, or a str."""
+    _require(isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)),
+             field_name, "must be an integer or a string")
+    return value
+
+
+def parse_scalar_field(raw, field_name):
+    """parse_scalar, with any rejection reported against field_name."""
+    try:
+        return parse_scalar(raw)
+    except (ValueError, BackendError) as exc:
+        raise ScenarioError(f"{field_name}: {exc}") from None
+
+
+def _one_backend(values, field_name) -> tuple:
+    """Parsed scalars (floats and Fractions) as a tuple; a mix of the two is
+    rejected."""
+    _require(len({type(v) for v in values}) == 1, field_name,
+             "cannot mix exact and float scalars")
+    return tuple(values)
+
+
+def _finite_float(raw, field_name) -> float:
+    """A JSON number as a float. Python's json also reads NaN, Infinity and
+    ints too large for a float; all three are rejected."""
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    _require(number and abs(raw) <= sys.float_info.max, field_name,
+             "must be a finite number")
+    return float(raw)
+
+
+def _abc_d(value, field_name):
+    _require(value is not None, field_name, "is required for the abc model")
+    d = parse_scalar_field(value, field_name)
+    _require(d >= 0, field_name, "must be >= 0")
+    return d
+
+
+def _opinions(values, field_name) -> tuple:
+    """A non-empty list of scalars of one backend; errors name the index."""
+    _require(isinstance(values, list) and values, field_name, "must be a non-empty list")
+    out = []
+    try:
+        for v in values:
+            out.append(parse_scalar(v))
+    except (ValueError, BackendError) as exc:
+        raise ScenarioError(f"{field_name}[{len(out)}]: {exc}") from None
+    return _one_backend(out, field_name)
+
+
+GROUP_FIELDS = {"opinion": (parse_scalar_field, REQUIRED), "size": (_positive, REQUIRED)}
+
+
+def _groups(groups, field_name) -> tuple:
+    """A non-empty list of group objects as (opinion, size) pairs."""
+    _require(isinstance(groups, list) and groups, field_name, "must be a non-empty list")
+    parsed = []
+    for i, g in enumerate(groups):
+        entry = f"{field_name}[{i}]"
+        _require(isinstance(g, dict) and "opinion" in g and "size" in g,
+                 entry, "needs opinion and size")
+        parsed.append(tuple(_fields(g, GROUP_FIELDS, f"{entry}.", known=()).values()))
+    _one_backend([op for op, _ in parsed], field_name)
+    return tuple(parsed)
+
+
+def _agents(agents, field_name) -> tuple:
+    _require(isinstance(agents, list), field_name, "must be a list")
+    return tuple(_agent_id(a, f"{field_name}[{i}]") for i, a in enumerate(agents))
+
+
+RANDOM_OPINION_FIELDS = {"low": (_finite_float, 0.0), "high": (_finite_float, 1.0)}
+
+
+def _event_opinion(op, field_name):
+    """A scalar, or a descriptor kept as ("uniform_random", low, high)."""
+    _require(op is not None, field_name, "is required")
+    if not isinstance(op, dict):
+        return parse_scalar_field(op, field_name)
+    _require(op.get("kind") == "uniform_random", f"{field_name}.kind",
+             "must be uniform_random")
+    low, high = _fields(op, RANDOM_OPINION_FIELDS, f"{field_name}.").values()
+    _require(low <= high, f"{field_name}.low", "must not exceed opinion.high")
+    return ("uniform_random", low, high)
+
+
+def _kinded(cls, raw, field_name):
+    """A spec of class `cls` from the object `raw`, whose kind picks its rows
+    in cls.FIELDS; messages name its fields under field_name, if not ""."""
+    _require(isinstance(raw, dict), field_name, "must be an object")
+    where = f"{field_name}." if field_name else ""
+    kind = raw.get("kind")
+    rows = cls.FIELDS.get(kind) if isinstance(kind, str) else None
+    if rows is None:
+        raise ScenarioError(f"{where}kind: {cls.KIND_ERROR}")
+    return cls(kind=kind, **_fields(raw, rows, where))
+
+
+def _json(value):
+    """A parsed value as a document writes it: a spec, random opinion or
+    clusters group as its object, a Fraction as "p/q", a tuple as a list."""
+    if isinstance(value, (float, int, str)):   # before the slower Fraction check
+        return value
+    if isinstance(value, Fraction):
+        return format_scalar(value)
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if not isinstance(value, (tuple, list)):
+        return value
+    if value[:1] == ("uniform_random",):   # a list slice never equals a tuple
+        return dict(zip(("kind", *RANDOM_OPINION_FIELDS), value))
+    if value and isinstance(value[0], tuple):   # clusters groups
+        return [dict(zip(GROUP_FIELDS, map(_json, group))) for group in value]
+    return list(map(_json, value))
+
+
+class _Spec:
+    """The one to_dict of the spec classes: kind, then the fields of its rows."""
+
+    def to_dict(self) -> dict:
+        kind = getattr(self, "kind", None)
+        out = {} if kind is None else {"kind": kind}
+        for key in self.FIELDS[kind]:
+            out[key] = _json(getattr(self, key))
+        return out
+
+
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Spec):
     kind: str                 # "knn" | "abc"
     k: Optional[int] = None
     d: Optional[object] = None
 
-    def to_dict(self) -> dict:
-        if self.kind == "knn":
-            return {"kind": "knn", "k": self.k}
-        return {"kind": "abc", "d": _scalar_to_json(self.d)}
+    FIELDS = {"knn": {"k": (_positive, None)}, "abc": {"d": (_abc_d, None)}}
+    KIND_ERROR = "must be 'knn' or 'abc'"
 
 
 @dataclass(frozen=True)
-class InitialSpec:
+class InitialSpec(_Spec):
     kind: str                 # "uniform_random" | "explicit" | "clusters"
     n: Optional[int] = None
     low: float = 0.0
@@ -77,6 +249,12 @@ class InitialSpec:
     seed: Optional[object] = None
     opinions: Optional[tuple] = None
     groups: Optional[tuple] = None   # of (opinion, size)
+
+    FIELDS = {"uniform_random": {"n": (_positive, None), "low": (_finite_float, 0.0),
+                                 "high": (_finite_float, 1.0), "seed": (_seed, REQUIRED)},
+              "explicit": {"opinions": (_opinions, None)},
+              "clusters": {"groups": (_groups, None)}}
+    KIND_ERROR = "must be uniform_random, explicit or clusters"
 
     def size(self) -> int:
         if self.kind == "uniform_random":
@@ -97,52 +275,69 @@ class InitialSpec:
             return list(self.opinions)
         return [op for op, size in self.groups for _ in range(size)]
 
-    def to_dict(self) -> dict:
-        if self.kind == "uniform_random":
-            return {"kind": "uniform_random", "n": self.n, "low": self.low,
-                    "high": self.high, "seed": self.seed}
-        if self.kind == "explicit":
-            return {"kind": "explicit",
-                    "opinions": [_scalar_to_json(v) for v in self.opinions]}
-        return {"kind": "clusters",
-                "groups": [{"opinion": _scalar_to_json(op), "size": size}
-                           for op, size in self.groups]}
-
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(_Spec):
     kind: str                 # "uniform_random" | "explicit" | "shrink"
     seed: Optional[object] = None
     agents: Optional[tuple] = None
 
-    def to_dict(self) -> dict:
-        if self.kind == "uniform_random":
-            return {"kind": "uniform_random", "seed": self.seed}
-        if self.kind == "explicit":
-            return {"kind": "explicit", "agents": list(self.agents)}
-        return {"kind": "shrink"}
+    FIELDS = {"uniform_random": {"seed": (_seed, REQUIRED)},
+              "explicit": {"agents": (_agents, None)}, "shrink": {}}
+    KIND_ERROR = "must be uniform_random, explicit or shrink"
 
 
 @dataclass(frozen=True)
-class EventSpec:
+class EventSpec(_Spec):
     kind: str                 # "add" | "remove"
     step: int
     opinion: Optional[object] = None   # scalar or ("uniform_random", lo, hi)
     agent: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        if self.kind == "add":
-            if isinstance(self.opinion, tuple) and self.opinion[0] == "uniform_random":
-                op = {"kind": "uniform_random",
-                      "low": self.opinion[1], "high": self.opinion[2]}
-            else:
-                op = _scalar_to_json(self.opinion)
-            return {"kind": "add", "step": self.step, "opinion": op}
-        return {"kind": "remove", "step": self.step, "agent": self.agent}
+    FIELDS = {"add": {"step": (_step, None), "opinion": (_event_opinion, None)},
+              "remove": {"step": (_step, None), "agent": (_agent_id, None)}}
+    KIND_ERROR = "must be 'add' or 'remove'"
+
+
+def _event_step(raw, where) -> None:
+    """An event's object and step are checked before its kind and keys."""
+    _require(isinstance(raw, dict), where, "must be an object")
+    _step(raw.get("step"), f"{where}.step")
+
+
+def _events(raw, field_name) -> tuple:
+    _require(isinstance(raw, list), field_name, "must be a list")
+    out = []
+    for i, entry in enumerate(raw):
+        _event_step(entry, f"{field_name}[{i}]")
+        out.append(_kinded(EventSpec, entry, f"{field_name}[{i}]"))
+    return tuple(out)
+
+
+def _only_add(value, field_name) -> str:
+    _require(value == "add", field_name, "must be 'add'")
+    return value
+
+
+# an addition of a robustness document may leave out its kind
+ADDITION_FIELDS = {"kind": (_only_add, "add"), **EventSpec.FIELDS["add"]}
+
+
+SCENARIO_FIELDS = {
+    "name": (_as_is, "scenario"),
+    "model": (partial(_kinded, ModelSpec), None),
+    "initial": (partial(_kinded, InitialSpec), None),
+    "schedule": (partial(_kinded, ScheduleSpec), None),
+    "events": (_events, []),
+    "event_seed": (_seed, 0),
+    "max_steps": (_as_is, DEFAULT_MAX_STEPS),
+    "tol": (_finite_float, DEFAULT_TOL),
+    "record_every": (_as_is, 1),
+}
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     model: ModelSpec
     initial: InitialSpec
     schedule: ScheduleSpec
@@ -153,231 +348,15 @@ class ScenarioSpec:
     record_every: int = 1
     name: str = "scenario"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model.to_dict(),
-            "initial": self.initial.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "events": [e.to_dict() for e in self.events],
-            "event_seed": self.event_seed,
-            "max_steps": self.max_steps,
-            "tol": self.tol,
-            "record_every": self.record_every,
-        }
+    FIELDS = {None: SCENARIO_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _scalar_to_json(value):
-    if isinstance(value, Fraction):
-        return format_scalar(value)
-    return value
-
-
-def _require(cond, field_name, message):
-    if not cond:
-        raise ScenarioError(f"{field_name}: {message}")
-
-
-def _known_fields(raw: dict, fields, where="") -> None:
-    """Rejects a key of `raw` outside `fields`, so that a misspelt optional
-    field cannot silently fall back to its default."""
-    for key in raw:
-        _require(key in fields, f"{where}{key}", "is not a known field")
-
-
-def int_at_least(value, least) -> bool:
-    """True for an integer >= least. JSON true/false parse as Python bools,
-    which are ints too, and are rejected."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _seed(raw: dict, key: str, where: str = ""):
-    """raw[key] (default 0) as a SeededRng seed: an int, not a bool, or a str."""
-    value = raw.get(key, 0)
-    _require(isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)),
-             f"{where}{key}", "must be an integer or a string")
-    return value
-
-
-def parse_scalar_field(raw, field_name):
-    """parse_scalar, with any rejection reported against field_name."""
-    try:
-        return parse_scalar(raw)
-    except (ValueError, BackendError) as exc:
-        raise ScenarioError(f"{field_name}: {exc}") from None
-
-
-def parse_scalar_list(values, field_name) -> tuple:
-    """parse_scalar over a list; a rejection names field_name[index]."""
-    out = []
-    try:
-        for v in values:
-            out.append(parse_scalar(v))
-    except (ValueError, BackendError) as exc:
-        raise ScenarioError(f"{field_name}[{len(out)}]: {exc}") from None
-    return tuple(out)
-
-
-def _one_backend(values, field_name) -> tuple:
-    """Parsed scalars (floats and Fractions) as a tuple; a mix of the two is
-    rejected."""
-    _require(len({type(v) for v in values}) == 1, field_name,
-             "cannot mix exact and float scalars")
-    return tuple(values)
-
-
-def _finite_float(raw, field_name) -> float:
-    """A JSON number as a float. Python's json also reads NaN, Infinity and
-    ints too large for a float; all three are rejected."""
-    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    _require(number and abs(raw) <= sys.float_info.max, field_name,
-             "must be a finite number")
-    return float(raw)
-
-
-def _parse_model(raw) -> ModelSpec:
-    _require(isinstance(raw, dict), "model", "must be an object")
-    kind = raw.get("kind")
-    if kind == "knn":
-        _known_fields(raw, ("kind", "k"), "model.")
-        k = raw.get("k")
-        _require(int_at_least(k, 1), "model.k", "must be a positive integer")
-        return ModelSpec(kind="knn", k=k)
-    if kind == "abc":
-        _known_fields(raw, ("kind", "d"), "model.")
-        d = raw.get("d")
-        _require(d is not None, "model.d", "is required for the abc model")
-        d = parse_scalar_field(d, "model.d")
-        _require(d >= 0, "model.d", "must be >= 0")
-        return ModelSpec(kind="abc", d=d)
-    raise ScenarioError("model.kind: must be 'knn' or 'abc'")
-
-
-def parse_initial(raw, where="initial.") -> InitialSpec:
-    """An initial-state object; `where` prefixes every field name in error
-    messages ("base." for a robustness base, "" for a classify document)."""
-    _require(isinstance(raw, dict), where[:-1], "must be an object")
-    kind = raw.get("kind")
-    if kind == "uniform_random":
-        _known_fields(raw, ("kind", "n", "low", "high", "seed"), where)
-        n = raw.get("n")
-        _require(int_at_least(n, 1), f"{where}n", "must be a positive integer")
-        _require("seed" in raw, f"{where}seed", "is required")
-        return InitialSpec(kind=kind, n=n,
-                           low=_finite_float(raw.get("low", 0.0), f"{where}low"),
-                           high=_finite_float(raw.get("high", 1.0), f"{where}high"),
-                           seed=_seed(raw, "seed", where))
-    if kind == "explicit":
-        _known_fields(raw, ("kind", "opinions"), where)
-        ops = raw.get("opinions")
-        _require(isinstance(ops, list) and ops, f"{where}opinions", "must be a non-empty list")
-        opinions = parse_scalar_list(ops, f"{where}opinions")
-        return InitialSpec(kind=kind, opinions=_one_backend(opinions, f"{where}opinions"))
-    if kind == "clusters":
-        _known_fields(raw, ("kind", "groups"), where)
-        groups = raw.get("groups")
-        _require(isinstance(groups, list) and groups, f"{where}groups", "must be a non-empty list")
-        parsed = []
-        for i, g in enumerate(groups):
-            entry = f"{where}groups[{i}]"
-            _require(isinstance(g, dict) and "opinion" in g and "size" in g,
-                     entry, "needs opinion and size")
-            _known_fields(g, ("opinion", "size"), f"{entry}.")
-            _require(int_at_least(g["size"], 1),
-                     f"{entry}.size", "must be a positive integer")
-            parsed.append((parse_scalar_field(g["opinion"], f"{entry}.opinion"), g["size"]))
-        _one_backend([op for op, _ in parsed], f"{where}groups")
-        return InitialSpec(kind=kind, groups=tuple(parsed))
-    raise ScenarioError(f"{where}kind: must be uniform_random, explicit or clusters")
-
-
-def _parse_schedule(raw) -> ScheduleSpec:
-    _require(isinstance(raw, dict), "schedule", "must be an object")
-    kind = raw.get("kind")
-    if kind == "uniform_random":
-        _known_fields(raw, ("kind", "seed"), "schedule.")
-        _require("seed" in raw, "schedule.seed", "is required")
-        return ScheduleSpec(kind=kind, seed=_seed(raw, "seed", "schedule."))
-    if kind == "explicit":
-        _known_fields(raw, ("kind", "agents"), "schedule.")
-        agents = raw.get("agents")
-        _require(isinstance(agents, list), "schedule.agents", "must be a list")
-        for i, a in enumerate(agents):
-            _require(int_at_least(a, 1), f"schedule.agents[{i}]", "must be a positive agent id")
-        return ScheduleSpec(kind=kind, agents=tuple(agents))
-    if kind == "shrink":
-        _known_fields(raw, ("kind",), "schedule.")
-        return ScheduleSpec(kind="shrink")
-    raise ScenarioError("schedule.kind: must be uniform_random, explicit or shrink")
-
-
-def _event_step(raw, where) -> int:
-    _require(isinstance(raw, dict), where, "must be an object")
-    step = raw.get("step")
-    _require(int_at_least(step, 0), f"{where}.step",
-             "must be a nonnegative integer")
-    return step
-
-
-def parse_add_event(raw, where) -> EventSpec:
-    """An add event's `step` and `opinion` (a number, "p/q" or a
-    uniform_random descriptor); error messages name fields under `where`."""
-    step = _event_step(raw, where)
-    _known_fields(raw, ("kind", "step", "opinion"), f"{where}.")
-    _require(raw.get("kind", "add") == "add", f"{where}.kind", "must be 'add'")
-    op = raw.get("opinion")
-    _require(op is not None, f"{where}.opinion", "is required")
-    if isinstance(op, dict):
-        _require(op.get("kind") == "uniform_random", f"{where}.opinion.kind",
-                 "must be uniform_random")
-        _known_fields(op, ("kind", "low", "high"), f"{where}.opinion.")
-        opinion = ("uniform_random",
-                   _finite_float(op.get("low", 0.0), f"{where}.opinion.low"),
-                   _finite_float(op.get("high", 1.0), f"{where}.opinion.high"))
-        _require(opinion[1] <= opinion[2], f"{where}.opinion.low",
-                 "must not exceed opinion.high")
-    else:
-        opinion = parse_scalar_field(op, f"{where}.opinion")
-    return EventSpec(kind="add", step=step, opinion=opinion)
-
-
-def _parse_event(raw, pos) -> EventSpec:
-    where = f"events[{pos}]"
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind == "add":
-        return parse_add_event(raw, where)
-    step = _event_step(raw, where)
-    if kind == "remove":
-        _known_fields(raw, ("kind", "step", "agent"), f"{where}.")
-        agent = raw.get("agent")
-        _require(int_at_least(agent, 1), f"{where}.agent",
-                 "must be a positive agent id")
-        return EventSpec(kind="remove", step=step, agent=agent)
-    raise ScenarioError(f"{where}.kind: must be 'add' or 'remove'")
-
-
 def parse_scenario(raw: dict) -> ScenarioSpec:
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
-    _known_fields(raw, ("name", "model", "initial", "schedule", "events", "event_seed",
-                        "max_steps", "tol", "record_every"))
-    model = _parse_model(raw.get("model"))
-    initial = parse_initial(raw.get("initial"))
-    schedule = _parse_schedule(raw.get("schedule"))
-    events = raw.get("events", [])
-    _require(isinstance(events, list), "events", "must be a list")
-    events = tuple(_parse_event(e, i) for i, e in enumerate(events))
-
-    spec = ScenarioSpec(
-        model=model, initial=initial, schedule=schedule, events=events,
-        event_seed=_seed(raw, "event_seed"),
-        max_steps=raw.get("max_steps", DEFAULT_MAX_STEPS),
-        tol=_finite_float(raw.get("tol", DEFAULT_TOL), "tol"),
-        record_every=raw.get("record_every", 1),
-        name=raw.get("name", "scenario"),
-    )
+    spec = ScenarioSpec(**_fields(raw, SCENARIO_FIELDS, "", known=()))
     validate_scenario(spec)
     return spec
 
@@ -405,9 +384,9 @@ def parse_configuration(raw, where="") -> Configuration:
     _require(isinstance(raw, dict) and ("opinions" in raw) != ("groups" in raw),
              where[:-1] or "configuration",
              "must be a JSON array or an object with one of 'opinions' and 'groups'")
-    _known_fields(raw, ("opinions", "groups"), where)
+    _fields(raw, {}, where, known=("opinions", "groups"))
     kind = "clusters" if "groups" in raw else "explicit"
-    return Configuration(parse_initial(dict(raw, kind=kind), where).fixed_opinions())
+    return Configuration(_kinded(InitialSpec, dict(raw, kind=kind), where[:-1]).fixed_opinions())
 
 
 def _count(raw, name, default, least):
@@ -423,7 +402,8 @@ def _parse_additions(raw_additions, seed, max_steps) -> list:
     rng = SeededRng(seed).derive("additions")
     additions = []
     for i, entry in enumerate(raw_additions):
-        event = parse_add_event(entry, f"additions[{i}]")
+        _event_step(entry, f"additions[{i}]")
+        event = EventSpec(**_fields(entry, ADDITION_FIELDS, f"additions[{i}].", known=()))
         # a run applies one event per step
         _require(not additions or event.step > additions[-1][0], f"additions[{i}].step",
                  "must be greater than the step of the addition before it")
@@ -441,24 +421,23 @@ def parse_robustness(raw, mode) -> dict:
     harness.robustness_addition (mode "add") or robustness_removal
     ("remove"). Whether the base is clustered is left to those two."""
     _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
-    _known_fields(raw, ("base", "k", "abc_d", "schedule_seed", "max_steps", "tol")
-                  + (("additions", "addition_seed") if mode == "add" else ("remove",)))
+    _fields(raw, {}, "", known=("base", "k", "abc_d", "schedule_seed", "max_steps", "tol")
+            + (("additions", "addition_seed") if mode == "add" else ("remove",)))
     _require("base" in raw, "base", "is required")
     base = parse_configuration(raw["base"], "base.")
     k = _count(raw, "k", None, 1)
     _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
     abc_d = raw.get("abc_d")
-    if abc_d is not None:
-        abc_d = parse_scalar_field(abc_d, "abc_d")
-        _require(abc_d >= 0, "abc_d", "must be >= 0")
+    abc_d = None if abc_d is None else _abc_d(abc_d, "abc_d")
     max_steps = _count(raw, "max_steps", 10**5, 0)
     tol = _finite_float(raw.get("tol", 1e-12 if mode == "add" else 1e-9), "tol")
     _require(tol > 0, "tol", "must be positive")
-    kwargs = dict(base=base, k=k, abc_d=abc_d, schedule_seed=_seed(raw, "schedule_seed"),
+    kwargs = dict(base=base, k=k, abc_d=abc_d,
+                  schedule_seed=_seed(raw.get("schedule_seed", 0), "schedule_seed"),
                   max_steps=max_steps, tol=tol)
     if mode == "add":
-        kwargs["additions"] = _parse_additions(raw.get("additions", []),
-                                               _seed(raw, "addition_seed"), max_steps)
+        seed = _seed(raw.get("addition_seed", 0), "addition_seed")
+        kwargs["additions"] = _parse_additions(raw.get("additions", []), seed, max_steps)
     else:
         remove = _count(raw, "remove", None, 1)
         _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")

@@ -157,6 +157,21 @@ def test_robustness_remove_cli(tmp_path, capsys):
     assert payload["expected_equilibrium"] is True
 
 
+def test_robustness_remove_with_no_steps_reports_the_unresumed_state(tmp_path, capsys):
+    # removing agent 4 leaves the 1/1 cluster below k, so the run is resumed
+    # with a budget of 0 steps
+    spec = write_json(tmp_path / "r.json", {
+        "base": {"groups": [{"opinion": "0/1", "size": 3}, {"opinion": "1/1", "size": 2}]},
+        "k": 2,
+        "remove": 4,
+        "max_steps": 0,
+    })
+    assert main(["robustness", "remove", "--spec", spec]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["still_equilibrium"] is False
+    assert payload["resumed_classification"] == "not_converged"
+
+
 def test_robustness_rejects_non_clustered_base(tmp_path):
     spec = write_json(tmp_path / "r.json", {
         "base": {"groups": [{"opinion": "0/1", "size": 2}, {"opinion": "1/1", "size": 2}]},
