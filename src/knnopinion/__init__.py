@@ -44,7 +44,7 @@ from .harness import (
     robustness_removal,
     simulate,
 )
-from .numerics import Scalar, format_scalar, mean_of, parse_scalar
+from .numerics import Scalar, format_scalar, parse_scalar
 from .rng import SeededRng
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 

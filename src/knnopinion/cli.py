@@ -3,7 +3,7 @@
 Subcommands: simulate, classify, verify-lemmas, robustness {add,remove},
 sweep, figures. Every command is a thin shell over the library; exit codes
 are 0 (success / all checks passed), 1 (verification failure), 2 (usage or
-document error), 3 (I/O error).
+document error, or a failed sweep entry), 3 (I/O error).
 """
 
 from __future__ import annotations
@@ -129,7 +129,9 @@ def cmd_sweep(args) -> int:
     _require(int_at_least(args.jobs, 1), "--jobs", "must be a positive integer")
     result = batch_sweep(parse_grid(load_json(args.grid)), jobs=args.jobs)
     _write_json(result.to_jsonable(), args.out)
-    return EXIT_OK
+    for i, msg in result.errors.items():
+        print(f"error: [{i}].{msg}", file=sys.stderr)
+    return EXIT_USAGE if result.errors else EXIT_OK
 
 
 def _figure_spec_clustered(seed, max_steps):

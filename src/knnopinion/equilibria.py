@@ -49,9 +49,6 @@ class ClusterPartition:
     def opinions(self) -> list:
         return [op for op, _ in self.groups]
 
-    def min_size(self) -> int:
-        return min(self.sizes)
-
     def to_jsonable(self) -> dict:
         from .numerics import format_scalar
 

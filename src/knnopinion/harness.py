@@ -142,13 +142,6 @@ def _limit_class(sizes, model: ModelSpec) -> str:
     return CLASS_CLUSTERED
 
 
-def classify_opinions(opinions, model: ModelSpec, tol: float, backend: str) -> str:
-    """Label a limit state: float opinions group at tol, exact ones by equal
-    value (tolerance 0)."""
-    groups = single_linkage_groups(opinions, tol if backend == FLOAT else 0)
-    return _limit_class([len(g) for g in groups], model)
-
-
 def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     """Run one scenario to convergence, equilibrium, schedule end or the
     step cap. Deterministic: identical spec -> bit-identical record."""
@@ -299,17 +292,6 @@ class MonteCarloStats:
     @property
     def all_converged(self) -> bool:
         return self.converged == self.runs
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "runs": self.runs,
-            "converged": self.converged,
-            "fraction_converged": self.converged / self.runs if self.runs else 0.0,
-            "hitting_times": self.hitting_times,
-            "consensus_values": self.consensus_values,
-            "hull_violations": self.hull_violations,
-            "max_steps": self.max_steps, "tol": self.tol,
-        }
 
 
 def monte_carlo_consensus(
@@ -570,39 +552,38 @@ class SweepResult:
 
 
 def _sweep_one(spec: ScenarioSpec):
-    rec = simulate(spec)
+    """((classification, cluster count, stop step), None) for one scenario,
+    or (None, message) when a document or parameter error stops it; any
+    other exception is a program fault and propagates."""
+    try:
+        rec = simulate(spec)
+    except (ScenarioError, ParameterError) as exc:
+        return None, str(exc)
     hit = None if rec.cluster_count is None else rec.total_steps
-    return rec.classification, rec.cluster_count, hit
+    return (rec.classification, rec.cluster_count, hit), None
 
 
 def batch_sweep(specs, jobs: int = 1) -> SweepResult:
     """Run every scenario (independently seeded via their own documents) and
     aggregate. Results merge in scenario order regardless of completion
     order, so the aggregate is deterministic."""
-    results: dict = {}
-    errors: dict = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_sweep_one, spec) for i, spec in enumerate(specs)}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                errors[i] = str(exc)
+            outcomes = list(pool.map(_sweep_one, specs))
     else:
-        for i, spec in enumerate(specs):
-            try:
-                results[i] = _sweep_one(spec)
-            except Exception as exc:
-                errors[i] = str(exc)
+        outcomes = [_sweep_one(spec) for spec in specs]
 
     classifications: dict = {}
     histogram: dict = {}
     hitting = []
-    for i in sorted(results):
-        cls, groups, hit = results[i]
+    errors: dict = {}
+    for i, (result, error) in enumerate(outcomes):
+        if result is None:
+            errors[i] = error
+            continue
+        cls, groups, hit = result
         classifications[cls] = classifications.get(cls, 0) + 1
         if groups is not None:
             histogram[groups] = histogram.get(groups, 0) + 1

@@ -16,9 +16,7 @@ reduced by one gcd, over lcm(D, q), without building a Fraction.
 The backend is decided where a state is built (Configuration, simulate's
 backend); the hot paths then call the typed kernels mean_float and
 mean_exact, except the exact k-NN update, which stores its ratio instead.
-coerce_all serves the API edges. The dispatching mean_of has no caller in
-the package; it stays for callers that do not know the backend, and as the
-oracle for mean_float.
+coerce_all serves the API edges.
 
 Float backend: IEEE-754 binary64.
 
@@ -43,10 +41,6 @@ FLOAT = "float"
 
 class BackendError(TypeError):
     """Raised when exact and float scalars are mixed in one operation."""
-
-
-class EmptyAggregationError(ValueError):
-    """Raised when an aggregate (mean, min, max) is asked of zero values."""
 
 
 def backend_of(value: Scalar) -> str:
@@ -110,25 +104,6 @@ def mean_exact(nums: Sequence[int], den: int) -> Fraction:
     """Mean of the exact values nums[i] / den, for any positive common
     denominator den: one Fraction with a single gcd."""
     return Fraction(sum(nums), den * len(nums))
-
-
-def mean_of(values: Sequence[Scalar]) -> Scalar:
-    """Arithmetic mean of values of either backend, for callers that do not
-    know it; the hot paths call mean_float or mean_exact directly. A
-    homogeneous set returns its first value untouched, whatever its type.
-    The float branch spells out both guards literally, so that it stays
-    an oracle for mean_float."""
-    if len(values) == 0:
-        raise EmptyAggregationError("empty aggregation")
-    first = values[0]
-    if all(v == first for v in values[1:]):
-        return first
-    vals, kind = coerce_all(values)
-    if kind == EXACT:
-        return mean_exact(*common_numerators(vals))
-    m = sum(vals) / len(vals)
-    lo, hi = min(vals), max(vals)
-    return min(max(m, lo), hi)
 
 
 def parse_scalar(raw) -> Scalar:

@@ -88,6 +88,11 @@ def _as_is(value, field_name):
     return value
 
 
+def _string(value, field_name):
+    _require(isinstance(value, str), field_name, "must be a string")
+    return value
+
+
 def _int_field(least, message):
     """The row parse of an integer field >= least."""
     def parse(value, field_name):
@@ -324,7 +329,7 @@ ADDITION_FIELDS = {"kind": (_only_add, "add"), **EventSpec.FIELDS["add"]}
 
 
 SCENARIO_FIELDS = {
-    "name": (_as_is, "scenario"),
+    "name": (_string, "scenario"),
     "model": (partial(_kinded, ModelSpec), None),
     "initial": (partial(_kinded, InitialSpec), None),
     "schedule": (partial(_kinded, ScheduleSpec), None),

@@ -1,5 +1,6 @@
-"""The former grouping and labelling code, the oracle for
-`harness.classify_opinions`, `equilibria.partition_clusters` and
+"""The former grouping and labelling code, the oracle for the label
+`harness.simulate` gives a limit state (`single_linkage_groups` then
+`_limit_class`), `equilibria.partition_clusters` and
 `equilibria.quantize_clusters`.
 
 Each backend has its own path here: an exact state is grouped in a dict of
@@ -13,7 +14,8 @@ grouping and one label rule.
 from knnopinion.dynamics import Configuration
 from knnopinion.equilibria import ClusterPartition, is_clustered, single_linkage_groups
 from knnopinion.harness import CLASS_CLUSTERED, CLASS_CONSENSUS, CLASS_NON_CLUSTERED
-from knnopinion.numerics import EXACT, mean_of
+from knnopinion.numerics import EXACT
+from reference_numerics import mean_of
 
 
 def reference_partition_clusters(config: Configuration) -> ClusterPartition:

@@ -18,7 +18,7 @@ from knnopinion.dynamics import Configuration, abc_update, knn_update
 from knnopinion.equilibria import single_linkage_groups
 from knnopinion.harness import (CLASS_NOT_CONVERGED, STOP_CONVERGED, STOP_EQUILIBRIUM,
                                 STOP_MAX_STEPS, STOP_SCHEDULE_EXHAUSTED, TrajectoryRecord,
-                                classify_opinions)
+                                _limit_class)
 from knnopinion.numerics import FLOAT
 from knnopinion.rng import SeededRng
 from knnopinion.scenario import ScenarioError
@@ -128,7 +128,9 @@ def reference_simulate(spec) -> TrajectoryRecord:
     else:
         rec.recorded_steps.append(t)
         rec.snapshots.append((rec.final_ids, rec.final_opinions))
-    rec.classification = (classify_opinions(opinions, model, spec.tol, backend)
-                          if rec.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM)
-                          else CLASS_NOT_CONVERGED)
+    if rec.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
+        groups = single_linkage_groups(opinions, spec.tol if backend == FLOAT else 0)
+        rec.classification = _limit_class([len(g) for g in groups], model)
+    else:
+        rec.classification = CLASS_NOT_CONVERGED
     return rec

@@ -1,8 +1,10 @@
 """One grouping and one label rule against the former per-backend code.
 
-`reference_classify` keeps the old bodies: a dict of equal values and the
-definition-based `is_clustered` for exact states, single linkage with a
-re-sort for float states. Hypothesis draws exact states with ties, groups of
+A limit state is labelled as `simulate` labels it: `single_linkage_groups`
+at tol for float states and at 0 for exact ones, then `_limit_class` on the
+group sizes. `reference_classify` keeps the old bodies: a dict of equal
+values and the definition-based `is_clustered` for exact states, single
+linkage with a re-sort for float states. Hypothesis draws exact states with ties, groups of
 k-1, k and k+1 agents and values one numerator apart, and float states with
 gaps at the tolerance and one ulp either side of it, signed zeros and
 chained linkage, under k-NN and ABC. Labels must agree, and partitions must
@@ -17,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnopinion.dynamics import Configuration
-from knnopinion.equilibria import partition_clusters, quantize_clusters
-from knnopinion.harness import classify_opinions
+from knnopinion.equilibria import partition_clusters, quantize_clusters, single_linkage_groups
+from knnopinion.harness import _limit_class
 from knnopinion.numerics import EXACT, FLOAT
 from knnopinion.scenario import ModelSpec
 from reference_classify import (
@@ -30,6 +32,12 @@ from reference_classify import (
 ORACLE = settings(max_examples=400, deadline=None, derandomize=True)
 UNIT = 2.0 ** -10
 ABC = ModelSpec(kind="abc", d=Fraction(1, 4))
+
+
+def classify(opinions, model, tol, backend):
+    """The label `simulate` gives a converged final state."""
+    groups = single_linkage_groups(opinions, tol if backend == FLOAT else 0)
+    return _limit_class([len(g) for g in groups], model)
 
 
 def assert_same_partition(got, want):
@@ -80,7 +88,7 @@ def float_states(draw):
 @example(([Fraction(0)] * 2 + [Fraction(1)] * 3, ModelSpec(kind="knn", k=3)), 1e-9)
 def test_exact_states_match_the_reference(state, tol):
     opinions, model = state
-    assert (classify_opinions(opinions, model, tol, EXACT)
+    assert (classify(opinions, model, tol, EXACT)
             == reference_classify_opinions(opinions, model, tol, EXACT))
     config = Configuration(opinions)
     assert_same_partition(partition_clusters(config), reference_partition_clusters(config))
@@ -93,7 +101,7 @@ def test_exact_states_match_the_reference(state, tol):
 @example(([0.0, UNIT], ModelSpec(kind="knn", k=1), math.nextafter(UNIT, 0)))
 def test_float_states_match_the_reference(state):
     opinions, model, tol = state
-    assert (classify_opinions(opinions, model, tol, FLOAT)
+    assert (classify(opinions, model, tol, FLOAT)
             == reference_classify_opinions(opinions, model, tol, FLOAT))
     config = Configuration(opinions)
     assert_same_partition(quantize_clusters(config, tol),

@@ -395,6 +395,10 @@ UNIFORM_ADD = {"kind": "uniform_random", "low": 0.8, "high": 0.2}
     ({"schedule": {"kind": "uniform_random", "seed": {}}}, "schedule.seed"),
     ({"event_seed": 2.5}, "event_seed"),
     ({"event_seed": None}, "event_seed"),
+    # a name is a string: NaN used to be written into .meta.json as bare NaN
+    ({"name": NAN}, "name"),
+    ({"name": 3}, "name"),
+    ({"name": ["smoke"]}, "name"),
 ])
 def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
     spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
@@ -523,6 +527,20 @@ def test_sweep_error_names_the_grid_index(tmp_path, capsys):
     grid = write_json(tmp_path / "g.json", [small, bad])
     assert main(["sweep", "--grid", grid]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: [1].model.k: ")
+
+
+def test_sweep_writes_the_report_and_exits_2_when_an_entry_fails(tmp_path, capsys):
+    entry = {"model": {"kind": "knn", "k": 2},
+             "initial": {"kind": "explicit", "opinions": [0.1, 0.9]},
+             "schedule": {"kind": "uniform_random", "seed": 0}}
+    absent = dict(entry, schedule={"kind": "explicit", "agents": [1, 5]})
+    grid = write_json(tmp_path / "g.json", [entry, absent])
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--grid", grid, "--out", str(out)]) == EXIT_USAGE
+    payload = json.loads(out.read_text())
+    assert payload["errors"] == {"1": "schedule: agent 5 not present at step 1"}
+    assert payload["classifications"] == {"consensus": 1}
+    assert capsys.readouterr().err == "error: [1].schedule: agent 5 not present at step 1\n"
 
 
 def test_figures_checks_max_steps_before_creating_out(tmp_path, capsys):

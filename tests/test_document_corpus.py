@@ -41,7 +41,7 @@ from knnopinion.scenario import (
 DIGESTS = os.path.join(os.path.dirname(__file__), "document_corpus_digests.json")
 DELETE = object()
 CASES = 5848
-REJECTIONS = 5121
+REJECTIONS = 5161
 
 
 def _mutations(doc):

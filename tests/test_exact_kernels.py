@@ -1,5 +1,5 @@
 """Differential tests of the exact kernels that work on integer numerators
-(knn_indices, mean_of, mu_index, big_m_index, extremal_selection, the
+(knn_indices, mean_exact, mu_index, big_m_index, extremal_selection, the
 ratio store behind knn_update and replace, the clustered check) against
 the literal Fraction rules, which stay the oracle here."""
 
@@ -16,7 +16,8 @@ from knnopinion.convergence import (big_m_index, extremal_selection, mu_index,
 from knnopinion.dynamics import (Configuration, ParameterError, diameter, knn_indices,
                                  knn_neighbors, knn_update)
 from knnopinion.equilibria import is_clustered, is_equilibrium
-from knnopinion.numerics import common_numerators, mean_exact, mean_float, mean_of
+from knnopinion.numerics import common_numerators, mean_exact, mean_float
+from reference_numerics import mean_of
 
 F = Fraction
 # a shrink schedule divides by k at every step; 28 steps at k = 15 reach this

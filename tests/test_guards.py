@@ -1,0 +1,68 @@
+"""The argument and state guards of the library, one case each: the exact
+exception type and its message. Each call takes a scratch directory, where
+the malformed-JSON case writes its file (`{dir}` in its message)."""
+
+from fractions import Fraction
+
+import pytest
+
+from knnopinion.convergence import verify_lemma2_monotonicity
+from knnopinion.dynamics import Configuration, ParameterError
+from knnopinion.equilibria import (FloatBackendError, build_clustered,
+                                   build_tie_counterexample, max_cluster_count,
+                                   quantize_clusters)
+from knnopinion.harness import monte_carlo_consensus
+from knnopinion.numerics import BackendError, backend_of
+from knnopinion.rng import SeededRng
+from knnopinion.scenario import ScenarioError, load_json
+
+F = Fraction
+TIE = Configuration([F(0), F(1), F(1, 2)])
+
+
+def set_attribute(config):
+    config.keys = ()
+
+
+def load_malformed(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"a": 1,\n  "b": }\n')
+    return load_json(str(path))
+
+
+GUARDS = [
+    ("without-last-agent", lambda _: Configuration([F(1)]).without(1),
+     ParameterError, "cannot remove the last agent"),
+    ("immutable-configuration", lambda _: set_attribute(TIE),
+     AttributeError, "Configuration is immutable"),
+    ("max-cluster-count-k-above-n", lambda _: max_cluster_count(3, 4),
+     ParameterError, "k=4 violates 1 <= k <= n=3"),
+    ("clustered-without-groups", lambda _: build_clustered([]),
+     ParameterError, "need at least one group"),
+    ("float-tie-counterexample", lambda _: build_tie_counterexample(0.0, 1.0),
+     FloatBackendError, "counterexample constructors are exact-only"),
+    ("quantize-at-zero-tolerance",
+     lambda _: quantize_clusters(Configuration([0.1, 0.2]), 0),
+     ParameterError, "tolerance must be a finite positive number"),
+    ("monte-carlo-k-above-n", lambda _: monte_carlo_consensus(3, 4, runs=1, seed=0),
+     ParameterError, "k=4 violates 1 <= k <= n=3"),
+    ("backend-of-a-string", lambda _: backend_of("x"),
+     BackendError, "unsupported scalar type str"),
+    ("mixed-backends", lambda _: Configuration([F(1), 0.5]),
+     BackendError, "cannot mix exact and float scalars"),
+    ("randbelow-zero", lambda _: SeededRng(0).randbelow(0),
+     ValueError, "bound must be positive"),
+    ("lemma2-without-steps", lambda _: verify_lemma2_monotonicity(TIE, 1, steps=0),
+     ParameterError, "steps must be >= 1"),
+    ("malformed-json", load_malformed,
+     ScenarioError, "{dir}/bad.json: invalid JSON at line 2: Expecting value"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [case[1:] for case in GUARDS], ids=[case[0] for case in GUARDS])
+def test_guard_raises(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(dir=tmp_path)

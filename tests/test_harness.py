@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knnopinion import numerics
+from knnopinion import harness, numerics
 from knnopinion.convergence import run_shrink_schedule
 from knnopinion.dynamics import Configuration, OpinionIndex
 from knnopinion.equilibria import build_clustered
@@ -294,6 +294,22 @@ def test_batch_sweep_collects_errors_without_aborting():
     result = batch_sweep([bad, good])
     assert 0 in result.errors
     assert result.classifications == {CLASS_CONSENSUS: 1}
+
+
+def test_batch_sweep_lets_a_program_fault_propagate(monkeypatch):
+    def faulty(spec):
+        raise TypeError("a program fault")
+
+    monkeypatch.setattr(harness, "simulate", faulty)
+    with pytest.raises(TypeError, match="a program fault"):
+        batch_sweep([knn_spec()])
+
+
+def test_batch_sweep_without_a_converged_run_has_no_quantiles():
+    result = batch_sweep([knn_spec(max_steps=1)])
+    assert result.classifications == {"not_converged": 1}
+    assert result.to_jsonable()["hitting_time_quantiles"] == {
+        "p50": None, "p90": None, "p100": None}
 
 
 def test_batch_sweep_parallel_matches_serial():

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, no module
 defines a private (`_name`) function or class that nothing in it refers to,
-and no public module-level function or class goes unnamed in `src/` and
-`tests/`.
+no public module-level function or class goes unnamed in `src/` and
+`tests/`, and no public method of a class goes unnamed as an attribute
+there.
 
 The project ships no linter, so these stdlib `ast` checks stand in for one.
 `__init__.py` is exempt from the import rule: its imports are the public API.
@@ -90,3 +91,30 @@ def test_the_public_check_sees_unnamed_definitions():
 def test_module_public_definitions_are_named_somewhere(module):
     sources = [p.read_text() for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]]
     assert unnamed_publics((PACKAGE / f"{module}.py").read_text(), sources) == []
+
+
+def unnamed_public_methods(definitions: str, sources: list) -> list:
+    """`Class.method` for each public method of a class in `definitions`
+    that no attribute in `sources` names."""
+    methods = [(cls.name, node.name) for cls in ast.parse(definitions).body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    named = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute)}
+    return sorted(f"{cls}.{name}" for cls, name in methods if name not in named)
+
+
+def test_the_method_check_sees_unnamed_methods():
+    module = ("class C:\n    def called(self): pass\n    def dead(self): pass\n"
+              "    def _private(self): pass\n    @property\n    def read(self): pass\n"
+              "def dead(): pass\n")
+    callers = ["C().called()\n", "print(C().read, dead)\n"]
+    assert unnamed_public_methods(module, [module, *callers]) == ["C.dead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_public_methods_are_named_somewhere(module):
+    sources = [p.read_text() for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]]
+    assert unnamed_public_methods((PACKAGE / f"{module}.py").read_text(), sources) == []

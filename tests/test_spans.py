@@ -2,9 +2,10 @@
 
 `perfbench/spans.py` wraps each layer entry point it names; a name that no
 longer resolves is skipped and listed in `Tracer.missing`, so a renamed
-function would read 0 in every per-layer metric without an error. The two
-update hooks below are known dead: the typed mean kernels replaced them, and
-they are the only names allowed to be missing.
+function would read 0 in every per-layer metric without an error. The four
+names below are known dead, and the only ones allowed to be missing: the
+typed mean kernels replaced the two update hooks, and `mean_of` and
+`classify_opinions` left the package once nothing in it called them.
 """
 
 import importlib
@@ -14,7 +15,8 @@ from pathlib import Path
 import knnopinion
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-DEAD_HOOKS = ["dynamics.knn_updated_value", "dynamics.abc_updated_value"]
+DEAD_HOOKS = ["numerics.mean_of", "dynamics.knn_updated_value", "dynamics.abc_updated_value",
+              "harness.classify_opinions"]
 
 
 def test_every_traced_layer_resolves():
