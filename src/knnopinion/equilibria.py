@@ -144,8 +144,7 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
 
 def max_cluster_count(n: int, k: int) -> int:
     """Upper bound floor(n/k) on the number of distinct clusters."""
-    if not 1 <= k <= n:
-        raise ParameterError(f"k={k} violates 1 <= k <= n={n}")
+    _check_k(k, n)
     return n // k
 
 
@@ -208,11 +207,10 @@ def single_linkage_groups(opinions, tolerance) -> list:
     return groups
 
 
-def quantize_clusters(config: Configuration, tolerance: Scalar = 1e-9) -> ClusterPartition:
-    """Single-linkage grouping of a float configuration; each group is
-    represented by its mean opinion. Default tolerance 1e-9 sits well above
-    accumulated roundoff after ~1e5 averaging steps and well below the
-    inter-cluster gaps seen at n=20 scale."""
+def quantize_clusters(config: Configuration, tolerance: Scalar) -> ClusterPartition:
+    """Single-linkage grouping of a float configuration at `tolerance`, a
+    finite positive number (the CLI's `classify --tol`); each group is
+    represented by its mean opinion."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ParameterError("tolerance must be a finite positive number")
     if config.backend != FLOAT:

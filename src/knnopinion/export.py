@@ -17,7 +17,6 @@ the block's x prefixes with the agent's column of y texts.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from itertools import chain, compress
 from operator import is_not
@@ -25,6 +24,7 @@ from typing import NamedTuple
 
 from .harness import TrajectoryRecord
 from .numerics import FLOAT, format_scalar
+from .scenario import json_text
 
 CSV_HEADER = "step,agent_id,opinion"
 
@@ -80,9 +80,9 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     return "".join(chunks)
 
 
-def trajectory_metadata(record: TrajectoryRecord, spec=None) -> dict:
+def trajectory_metadata(record: TrajectoryRecord, spec) -> dict:
     fmt = "{:.17g}".format if record.backend == FLOAT else format_scalar
-    meta = {
+    return {
         "name": record.name,
         "backend": record.backend,
         "stop_reason": record.stop_reason,
@@ -93,10 +93,8 @@ def trajectory_metadata(record: TrajectoryRecord, spec=None) -> dict:
         "events": record.events_log,
         "initial_diameter": format_scalar(record.maxs[0] - record.mins[0]),
         "final_diameter": format_scalar(record.maxs[-1] - record.mins[-1]),
+        "scenario": spec.to_dict(),
     }
-    if spec is not None:
-        meta["scenario"] = spec.to_dict()
-    return meta
 
 
 def trajectory_to_svg(record: TrajectoryRecord) -> str:
@@ -155,8 +153,9 @@ def trajectory_to_svg(record: TrajectoryRecord) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_run_outputs(record: TrajectoryRecord, prefix: str, spec=None) -> list:
-    """Write <prefix>.csv, <prefix>.meta.json and <prefix>.svg."""
+def write_run_outputs(record: TrajectoryRecord, prefix: str, spec) -> list:
+    """Write <prefix>.csv, <prefix>.meta.json and <prefix>.svg; the metadata
+    holds `spec`, the scenario the record ran."""
     paths = []
     csv_path = f"{prefix}.csv"
     with open(csv_path, "w") as fh:
@@ -164,7 +163,7 @@ def write_run_outputs(record: TrajectoryRecord, prefix: str, spec=None) -> list:
     paths.append(csv_path)
     meta_path = f"{prefix}.meta.json"
     with open(meta_path, "w") as fh:
-        fh.write(json.dumps(trajectory_metadata(record, spec), indent=2) + "\n")
+        fh.write(json_text(trajectory_metadata(record, spec)))
     paths.append(meta_path)
     svg_path = f"{prefix}.svg"
     with open(svg_path, "w") as fh:

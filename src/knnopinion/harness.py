@@ -19,11 +19,13 @@ from .dynamics import (
     Configuration,
     OpinionIndex,
     ParameterError,
+    _check_k,
     abc_indices,
     abc_update,
 )
 from .equilibria import is_clustered, is_equilibrium, single_linkage_groups
-from .numerics import EXACT, FLOAT, Scalar, common_numerators, mean_exact, mean_float
+from .numerics import (EXACT, FLOAT, Scalar, coerce_all, common_numerators, format_scalar,
+                       mean_exact, mean_float)
 from .rng import SeededRng
 from .scenario import (
     EventSpec,
@@ -73,8 +75,7 @@ def _build_initial(spec: InitialSpec):
         rng = SeededRng(spec.seed).derive("init")
         opinions = [rng.uniform(spec.low, spec.high) for _ in range(spec.n)]
         return opinions, FLOAT
-    config = Configuration(spec.fixed_opinions())
-    return list(config.opinions), config.backend
+    return coerce_all(spec.fixed_opinions())
 
 
 def _mean_exact_values(values) -> Fraction:
@@ -123,7 +124,7 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
     opinions = index.opinions
     groups = single_linkage_groups(opinions, tol)
     # each group comes sorted by opinion, so it spans its last minus its first
-    if _limit_class([len(g) for g in groups], model) != CLASS_NON_CLUSTERED and all(
+    if _limit_class([len(g) for g in groups], model.k) != CLASS_NON_CLUSTERED and all(
         opinions[g[-1]] - opinions[g[0]] < tol for g in groups
     ):
         return True
@@ -131,13 +132,14 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
     return move < stall
 
 
-def _limit_class(sizes, model: ModelSpec) -> str:
-    """The label of a limit state from its group sizes. Every group has >= k
-    members exactly when every agent's k nearest neighbours share its
-    opinion, so on an exact state this agrees with is_clustered."""
+def _limit_class(sizes, k) -> str:
+    """The label of a limit state from its group sizes, under the k-NN model
+    with this k, or under ABC when k is None (an ABC ModelSpec's k). Every
+    group has >= k members exactly when every agent's k nearest neighbours
+    share its opinion, so on an exact state this agrees with is_clustered."""
     if len(sizes) == 1:
         return CLASS_CONSENSUS
-    if model.kind == "knn" and min(sizes) < model.k:
+    if k is not None and min(sizes) < k:
         return CLASS_NON_CLUSTERED
     return CLASS_CLUSTERED
 
@@ -211,7 +213,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.snapshots.append((tuple(ids), tuple(opinions)))
 
     record.total_steps = t
-    final = (tuple(ids), tuple(opinions))
+    final = record.final_ids, record.final_opinions = tuple(ids), tuple(opinions)
     if t in events_by_step:
         # the stop step's events fired after its state was recorded
         record.mins[-1], record.maxs[-1] = index.min(), index.max()
@@ -220,12 +222,10 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     if record.recorded_steps[-1] != t:
         record.recorded_steps.append(t)
         record.snapshots.append(final)
-    record.final_ids = tuple(ids)
-    record.final_opinions = tuple(opinions)
     if record.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
         groups = single_linkage_groups(opinions, spec.tol if backend == FLOAT else 0)
         record.cluster_count = len(groups)
-        record.classification = _limit_class([len(g) for g in groups], spec.model)
+        record.classification = _limit_class([len(g) for g in groups], spec.model.k)
     else:
         record.classification = CLASS_NOT_CONVERGED
     return record
@@ -244,11 +244,8 @@ def _apply_event(event, ids, opinions, next_id, backend, rng_events, record):
             {"step": event.step, "kind": "add", "agent": next_id}
         )
     else:
+        # validate_scenario has checked that the agent is present
         pos = bisect_left(ids, event.agent)
-        if pos >= len(ids) or ids[pos] != event.agent:
-            raise ScenarioError(
-                f"events: agent {event.agent} not present at step {event.step}"
-            )
         del ids[pos]
         del opinions[pos]
         record.events_log.append(
@@ -307,8 +304,7 @@ def monte_carlo_consensus(
     and uniform i.i.d. agent selection; a run converges when the diameter
     drops below tol. Consensus for n < 2k is the claim under test; n >= 2k
     needs the explicit exploratory override."""
-    if not 1 <= k <= n:
-        raise ParameterError(f"k={k} violates 1 <= k <= n={n}")
+    _check_k(k, n)
     if n >= 2 * k and not allow_large_n:
         raise ParameterError(
             f"n={n} >= 2k={2 * k}: consensus is not guaranteed; "
@@ -366,17 +362,10 @@ class AdditionRunReport:
     final_added_opinions: tuple
 
     def to_jsonable(self) -> dict:
-        from .numerics import format_scalar
-
-        return {
-            "model": self.model,
-            "originals_untouched": self.originals_untouched,
-            "classification": self.classification,
-            "stop_reason": self.stop_reason,
-            "total_steps": self.total_steps,
-            "final_original_opinions": [format_scalar(v) for v in self.final_original_opinions],
-            "final_added_opinions": [format_scalar(v) for v in self.final_added_opinions],
-        }
+        out = asdict(self)
+        for key in ("final_original_opinions", "final_added_opinions"):
+            out[key] = list(map(format_scalar, out[key]))
+        return out
 
 
 @dataclass
@@ -391,26 +380,18 @@ class AdditionReport:
         return out
 
 
-def _addition_spec(base_floats, model, additions, schedule_seed, max_steps, tol):
-    events = tuple(
-        EventSpec(kind="add", step=step, opinion=float(op))
-        for step, op in additions
-    )
-    return ScenarioSpec(
+def _run_addition(base_floats, model, additions, schedule_seed, max_steps, tol):
+    rec = simulate(ScenarioSpec(
         model=model,
         initial=InitialSpec(kind="explicit", opinions=tuple(base_floats)),
         schedule=ScheduleSpec(kind="uniform_random", seed=schedule_seed),
-        events=events,
+        events=tuple(EventSpec(kind="add", step=step, opinion=float(op))
+                     for step, op in additions),
         max_steps=max_steps,
         tol=tol,
         record_every=1,
         name="robustness-addition",
-    )
-
-
-def _run_addition(base_floats, model, additions, schedule_seed, max_steps, tol):
-    spec = _addition_spec(base_floats, model, additions, schedule_seed, max_steps, tol)
-    rec = simulate(spec)
+    ))
     n0 = len(base_floats)
     untouched = all(ops[pos] == base_floats[agent - 1] for ids, ops in rec.snapshots
                     for pos, agent in enumerate(ids) if agent <= n0)

@@ -149,13 +149,8 @@ def _abc_d(value, field_name):
 def _opinions(values, field_name) -> tuple:
     """A non-empty list of scalars of one backend; errors name the index."""
     _require(isinstance(values, list) and values, field_name, "must be a non-empty list")
-    out = []
-    try:
-        for v in values:
-            out.append(parse_scalar(v))
-    except (ValueError, BackendError) as exc:
-        raise ScenarioError(f"{field_name}[{len(out)}]: {exc}") from None
-    return _one_backend(out, field_name)
+    return _one_backend([parse_scalar_field(v, f"{field_name}[{i}]")
+                         for i, v in enumerate(values)], field_name)
 
 
 GROUP_FIELDS = {"opinion": (parse_scalar_field, REQUIRED), "size": (_positive, REQUIRED)}
@@ -356,7 +351,7 @@ class ScenarioSpec(_Spec):
     FIELDS = {None: SCENARIO_FIELDS}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
@@ -464,6 +459,12 @@ def load_json(path):
             raise ScenarioError(f"{path}: {exc}") from None
 
 
+def json_text(payload) -> str:
+    """The one JSON writer: `payload` indented by 2, with a final newline.
+    NaN and infinities are rejected (ValueError), since they are not JSON."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def load_scenario(path) -> ScenarioSpec:
     return parse_scenario(load_json(path))
 
@@ -486,6 +487,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _require(spec.initial.low <= spec.initial.high, "initial.low",
                  "must not exceed initial.high")
     n0 = spec.initial.size()
+    _require(n0 >= 1, "initial", "must hold at least one agent")
     if spec.model.kind == "knn":
         _require(spec.model.k <= n0, "model.k",
                  f"k={spec.model.k} exceeds initial agent count n={n0}")

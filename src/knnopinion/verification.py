@@ -51,14 +51,14 @@ def random_cluster_layout(n: int, rng: SeededRng) -> Configuration:
     return Configuration._from_keys(values, 1)   # integer opinions: keys over 1
 
 
-def verify_cluster_size_equivalence(trials: int, seed, n_max: int = 30) -> VerifierReport:
+def verify_cluster_size_equivalence(trials: int, seed) -> VerifierReport:
     """is_clustered(x, k) must coincide with (min same-opinion group size
     >= k) on random layouts; the size side is counted here from equal keys,
     independently of the neighbor-based definition and of the grouping."""
     rng = SeededRng(seed).derive("cluster-size")
 
     def case():
-        n = 1 + rng.randbelow(n_max)
+        n = 1 + rng.randbelow(30)
         k = 1 + rng.randbelow(n)
         config = random_cluster_layout(n, rng)
         if is_clustered(config, k) != (min(Counter(config.keys).values()) >= k):
@@ -68,11 +68,11 @@ def verify_cluster_size_equivalence(trials: int, seed, n_max: int = 30) -> Verif
     return scan_trials("cluster_size_equivalence", trials, case, {"trials": trials})
 
 
-def verify_clustered_implies_equilibrium(trials: int, seed, n_max: int = 30) -> VerifierReport:
+def verify_clustered_implies_equilibrium(trials: int, seed) -> VerifierReport:
     rng = SeededRng(seed).derive("clustered-eq")
 
     def case():
-        n = 1 + rng.randbelow(n_max)
+        n = 1 + rng.randbelow(30)
         config = random_cluster_layout(n, rng)
         k = min(Counter(config.keys).values())  # the layout is clustered at this k
         if not is_clustered(config, k):
@@ -84,10 +84,11 @@ def verify_clustered_implies_equilibrium(trials: int, seed, n_max: int = 30) -> 
     return scan_trials("clustered_implies_equilibrium", trials, case, {"checked": trials})
 
 
-def verify_floor_bound_tight(n_max: int = 20) -> VerifierReport:
-    """For every (n, k) a clustered layout with floor(n/k) groups exists:
-    floor(n/k) - 1 groups of size k plus one group with the remainder."""
-    for n in range(1, n_max + 1):
+def verify_floor_bound_tight() -> VerifierReport:
+    """For every (n, k) with n <= 20 a clustered layout with floor(n/k)
+    groups exists: floor(n/k) - 1 groups of size k plus one group with the
+    remainder."""
+    for n in range(1, 21):
         for k in range(1, n + 1):
             count = max_cluster_count(n, k)
             sizes = [k] * (count - 1) + [n - k * (count - 1)]
@@ -99,7 +100,7 @@ def verify_floor_bound_tight(n_max: int = 20) -> VerifierReport:
                     name="floor_bound_tight", passed=False,
                     detail={"n": n, "k": k, "sizes": sizes},
                 )
-    return VerifierReport(name="floor_bound_tight", passed=True, detail={"n_max": n_max})
+    return VerifierReport(name="floor_bound_tight", passed=True, detail={"n_max": 20})
 
 
 def verify_counterexamples(pairs: int, seed) -> VerifierReport:
@@ -120,13 +121,13 @@ def verify_counterexamples(pairs: int, seed) -> VerifierReport:
     return scan_trials("counterexamples", pairs, case, {"pairs": pairs})
 
 
-def _random_exact_trials(name, stream, check, trials, seed, n_max=12) -> VerifierReport:
-    """`check(config, k)` on random exact states with 2 <= n <= n_max and
+def _random_exact_trials(name, stream, check, trials, seed) -> VerifierReport:
+    """`check(config, k)` on random exact states with 2 <= n <= 12 and
     1 <= k <= n, drawn from the substream `stream` of `seed`."""
     rng = SeededRng(seed).derive(stream)
 
     def case():
-        n = 2 + rng.randbelow(n_max - 1)
+        n = 2 + rng.randbelow(11)
         k = 1 + rng.randbelow(n)
         report = check(random_exact_configuration(n, rng), k)
         return None if report.passed else {**report.detail, "n": n, "k": k}

@@ -130,7 +130,7 @@ def reference_simulate(spec) -> TrajectoryRecord:
         rec.snapshots.append((rec.final_ids, rec.final_opinions))
     if rec.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
         groups = single_linkage_groups(opinions, spec.tol if backend == FLOAT else 0)
-        rec.classification = _limit_class([len(g) for g in groups], model)
+        rec.classification = _limit_class([len(g) for g in groups], model.k)
     else:
         rec.classification = CLASS_NOT_CONVERGED
     return rec

@@ -37,7 +37,7 @@ ABC = ModelSpec(kind="abc", d=Fraction(1, 4))
 def classify(opinions, model, tol, backend):
     """The label `simulate` gives a converged final state."""
     groups = single_linkage_groups(opinions, tol if backend == FLOAT else 0)
-    return _limit_class([len(g) for g in groups], model)
+    return _limit_class([len(g) for g in groups], model.k)
 
 
 def assert_same_partition(got, want):

@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from knnopinion import cli
 from knnopinion.cli import EXIT_OK, EXIT_USAGE, main
 from knnopinion.export import CSV_HEADER, trajectory_to_csv
 from knnopinion.harness import simulate
-from knnopinion.scenario import load_scenario, parse_scenario
+from knnopinion.scenario import json_text, load_scenario, parse_scenario
 from knnopinion.verification import run_suite
 
 SCENARIO = {
@@ -36,6 +38,27 @@ def test_scenario_round_trip_exact_opinions():
         "schedule": {"kind": "explicit", "agents": [1, 2, 3]},
     })
     assert parse_scenario(json.loads(spec.to_json())) == spec
+
+
+def test_json_text_rejects_non_finite_numbers():
+    with pytest.raises(ValueError):
+        json_text({"x": float("nan")})
+    spec = parse_scenario(SCENARIO)
+    with pytest.raises(ValueError):
+        replace(spec, tol=float("nan")).to_json()
+
+
+@pytest.mark.parametrize("fault", [KeyError("seed"), ValueError("bad value")])
+def test_a_program_fault_is_not_a_usage_error(tmp_path, monkeypatch, fault):
+    """Only the library's own errors exit 2; any other exception propagates."""
+    def broken(spec):
+        raise fault
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    spec_path = write_json(tmp_path / "s.json", SCENARIO)
+    with pytest.raises(type(fault)) as info:
+        main(["simulate", "--spec", spec_path, "--out", str(tmp_path / "run")])
+    assert info.value is fault
 
 
 def test_simulate_writes_csv_meta_svg(tmp_path, capsys):

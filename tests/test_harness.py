@@ -2,6 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnopinion import harness, numerics
 from knnopinion.convergence import run_shrink_schedule
@@ -29,6 +31,7 @@ from knnopinion.scenario import (
     ScenarioSpec,
     ScheduleSpec,
     parse_scenario,
+    validate_scenario,
 )
 
 F = Fraction
@@ -162,6 +165,80 @@ def test_invalid_removal_rejected_before_execution():
             "schedule": {"kind": "uniform_random", "seed": 0},
             "events": [{"kind": "remove", "step": 0, "agent": 9}],
         })
+
+
+def test_simulate_rejects_an_absent_removal_before_any_step(monkeypatch):
+    def never(initial):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "_build_initial", never)
+    spec = knn_spec(events=(EventSpec(kind="remove", step=0, agent=9),))
+    with pytest.raises(ScenarioError) as info:
+        simulate(spec)
+    assert str(info.value) == "events[0].agent: agent 9 not present at step 0"
+
+
+@st.composite
+def event_timelines(draw):
+    """A small explicit scenario with a random add/remove timeline, on either
+    backend and either model; removals may name absent or removed agents."""
+    exact = draw(st.booleans())
+    scalar = Fraction if exact else float
+    n0 = draw(st.integers(1, 4))
+    opinions = tuple(scalar(draw(st.integers(0, 4))) for _ in range(n0))
+    model = (ModelSpec(kind="knn", k=draw(st.integers(1, 3))) if draw(st.booleans())
+             else ModelSpec(kind="abc", d=scalar(1) / 2))
+    steps = sorted(draw(st.sets(st.integers(0, 12), max_size=5)))
+    events = []
+    for step in steps:
+        if draw(st.booleans()):
+            events.append(EventSpec(kind="remove", step=step, agent=draw(st.integers(1, 8))))
+        elif not exact and draw(st.booleans()):
+            events.append(EventSpec(kind="add", step=step, opinion=("uniform_random", 0.0, 1.0)))
+        else:
+            events.append(EventSpec(kind="add", step=step, opinion=scalar(draw(st.integers(0, 4)))))
+    return ScenarioSpec(
+        model=model,
+        initial=InitialSpec(kind="explicit", opinions=opinions),
+        schedule=ScheduleSpec(kind="uniform_random", seed=draw(st.integers(0, 3))),
+        events=tuple(events),
+        max_steps=12,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(event_timelines())
+def test_every_validated_timeline_runs(spec):
+    """simulate keeps no presence check of its own: every spec that
+    validate_scenario accepts runs, and removes exactly the agents it names."""
+    try:
+        validate_scenario(spec)
+    except ScenarioError:
+        return
+    rec = simulate(spec)
+    ids = list(range(1, spec.initial.size() + 1))
+    next_id = len(ids) + 1   # ids are never reused within a run
+    for event in spec.events:
+        if event.kind == "add":
+            ids.append(next_id)
+            next_id += 1
+        else:
+            ids.remove(event.agent)
+    assert list(rec.final_ids) == ids
+    assert len(rec.events_log) == len(spec.events)
+
+
+@pytest.mark.parametrize("initial", [
+    InitialSpec(kind="uniform_random", n=0, seed=0),
+    InitialSpec(kind="explicit", opinions=()),
+    InitialSpec(kind="clusters", groups=()),
+])
+def test_an_initial_state_without_agents_is_rejected(initial):
+    spec = ScenarioSpec(model=ModelSpec(kind="abc", d=0.5), initial=initial,
+                        schedule=ScheduleSpec(kind="uniform_random", seed=0))
+    with pytest.raises(ScenarioError) as info:
+        simulate(spec)
+    assert str(info.value) == "initial: must hold at least one agent"
 
 
 def test_event_steps_must_increase():

@@ -4,6 +4,9 @@ no public module-level function or class goes unnamed in `src/` and
 `tests/`, and no public method of a class goes unnamed as an attribute
 there.
 
+Only `scenario` imports `json`, so every document is read by `load_json` and
+every JSON output is written by `json_text`, which rejects NaN.
+
 The project ships no linter, so these stdlib `ast` checks stand in for one.
 `__init__.py` is exempt from the import rule: its imports are the public API.
 A public name counts as used where code names it (a name or an attribute),
@@ -52,6 +55,28 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that `source` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_import_check_sees_both_forms():
+    source = "import json.decoder\nfrom os import path\nfrom .json import x\n"
+    assert imported_modules(source) == {"json", "os"}
+
+
+def test_only_scenario_imports_json():
+    importers = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+                 if "json" in imported_modules(p.read_text())]
+    assert importers == ["scenario"]
 
 
 def test_the_private_check_sees_unreferenced_definitions():
