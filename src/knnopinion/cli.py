@@ -3,12 +3,14 @@
 Subcommands: simulate, classify, verify-lemmas, robustness {add,remove},
 sweep, figures. Every command is a thin shell over the library; exit codes
 are 0 (success / all checks passed), 1 (verification failure), 2 (usage or
-document error, or a failed sweep entry), 3 (I/O error).
+document error, or a failed sweep entry), 3 (I/O error). The argument
+parser is built once per process, on the first call of main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -216,6 +218,7 @@ def _emit_figure(outdir, stem, spec, record):
     write_run_outputs(record, prefix, spec)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knnopinion",
@@ -270,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, ParameterError, BackendError) as exc:

@@ -241,21 +241,25 @@ class OpinionIndex:
         near = []
         dl = abs(pairs[lo - 1][0] - x) if lo else None
         dr = abs(pairs[hi][0] - x)
-        while True:
-            left = dr is None or (dl is not None and dl <= dr)
-            d = dl if left else dr
-            # past k agents, a pair exactly as far as the k-th can still win
-            # on id, so keep taking while the next is that far
-            if len(near) >= k and d != near[-1][0]:
-                break
-            if left:
+        for _ in range(k):
+            if dr is None or (dl is not None and dl <= dr):
                 lo -= 1
-                near.append((d, pairs[lo][1]))
+                near.append((dl, pairs[lo][1]))
                 dl = abs(pairs[lo - 1][0] - x) if lo else None
             else:
-                near.append((d, pairs[hi][1]))
+                near.append((dr, pairs[hi][1]))
                 hi += 1
                 dr = abs(pairs[hi][0] - x) if hi < n else None
+        # then every pair as far as the k-th, which can still win on id
+        dk = near[-1][0]
+        while dl == dk:
+            lo -= 1
+            near.append((dl, pairs[lo][1]))
+            dl = abs(pairs[lo - 1][0] - x) if lo else None
+        while dr == dk:
+            near.append((dr, pairs[hi][1]))
+            hi += 1
+            dr = abs(pairs[hi][0] - x) if hi < n else None
         near.sort()
         return [j for _, j in near[:k]]
 

@@ -12,7 +12,8 @@ the texts of the one before and reformats only its changed positions, which
 one scan finds: the entries whose opinion is not the same object as before.
 Identity, not ==, since 0.0 == -0.0 but the two print differently. The SVG
 transposes each block: an agent's points in it are one join that interleaves
-the block's x prefixes with the agent's column of y texts.
+the block's x prefixes with the agent's column of y texts. A writer given
+no blocks scans the record; write_run_outputs scans once and passes them to both.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def _snapshot_texts(block: _Block, text):
         yield texts
 
 
-def trajectory_to_csv(record: TrajectoryRecord) -> str:
+def trajectory_to_csv(record: TrajectoryRecord, blocks=None) -> str:
     if record.backend == FLOAT:
         text = "{},{:.17g}".format
     else:
         def text(agent, v):
             return f"{agent},{format_scalar(v)}"
     chunks = [CSV_HEADER]
-    for block in _blocks(record):
+    for block in blocks or _blocks(record):
         for step, texts in zip(block.steps, _snapshot_texts(block, text)):
             row = f"\n{step},"   # each row of a snapshot starts with this
             chunks += row, row.join(texts)
@@ -97,12 +98,12 @@ def trajectory_metadata(record: TrajectoryRecord, spec) -> dict:
     }
 
 
-def trajectory_to_svg(record: TrajectoryRecord) -> str:
+def trajectory_to_svg(record: TrajectoryRecord, blocks=None) -> str:
     """One polyline per agent, time on x, opinion on y, on a 640x400 canvas.
     Agents appearing mid-run (additions) start where they appear."""
     width, height, margin = 640, 400, 40.0
     max_step = max(record.recorded_steps[-1], 1)
-    blocks = _blocks(record)
+    blocks = blocks or _blocks(record)
     # every opinion is in its block's first snapshot or at a changed position
     moved = [opinions[i] for b in blocks
              for opinions, changed in zip(b.opinions[1:], b.changed) for i in changed]
@@ -156,10 +157,11 @@ def trajectory_to_svg(record: TrajectoryRecord) -> str:
 def write_run_outputs(record: TrajectoryRecord, prefix: str, spec) -> list:
     """Write <prefix>.csv, <prefix>.meta.json and <prefix>.svg; the metadata
     holds `spec`, the scenario the record ran."""
+    blocks = _blocks(record)
     paths = []
     csv_path = f"{prefix}.csv"
     with open(csv_path, "w") as fh:
-        fh.write(trajectory_to_csv(record))
+        fh.write(trajectory_to_csv(record, blocks))
     paths.append(csv_path)
     meta_path = f"{prefix}.meta.json"
     with open(meta_path, "w") as fh:
@@ -167,6 +169,6 @@ def write_run_outputs(record: TrajectoryRecord, prefix: str, spec) -> list:
     paths.append(meta_path)
     svg_path = f"{prefix}.svg"
     with open(svg_path, "w") as fh:
-        fh.write(trajectory_to_svg(record))
+        fh.write(trajectory_to_svg(record, blocks))
     paths.append(svg_path)
     return paths

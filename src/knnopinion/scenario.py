@@ -149,8 +149,11 @@ def _abc_d(value, field_name):
 def _opinions(values, field_name) -> tuple:
     """A non-empty list of scalars of one backend; errors name the index."""
     _require(isinstance(values, list) and values, field_name, "must be a non-empty list")
-    return _one_backend([parse_scalar_field(v, f"{field_name}[{i}]")
-                         for i, v in enumerate(values)], field_name)
+    try:
+        parsed = list(map(parse_scalar, values))
+    except (ValueError, BackendError):   # name the first bad entry
+        parsed = [parse_scalar_field(v, f"{field_name}[{i}]") for i, v in enumerate(values)]
+    return _one_backend(parsed, field_name)
 
 
 GROUP_FIELDS = {"opinion": (parse_scalar_field, REQUIRED), "size": (_positive, REQUIRED)}
@@ -461,8 +464,42 @@ def load_json(path):
 
 def json_text(payload) -> str:
     """The one JSON writer: `payload` indented by 2, with a final newline.
-    NaN and infinities are rejected (ValueError), since they are not JSON."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    NaN and infinities are rejected (ValueError), since they are not JSON.
+    The bytes are json.dumps(payload, indent=2, allow_nan=False)'s, laid out here."""
+    return _indented(payload, "") + "\n"
+
+
+# json indents only in its pure-Python encoder; a list whose entries share
+# one of these exact types is written by one C-level join instead
+_LIST_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+
+
+def _indented(value, pad) -> str:
+    """`value` in json's indent=2 layout, each line after the first under `pad`."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_json_key(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        kind = type(value[0])
+        if (kind in _LIST_TEXT and set(map(type, value)) == {kind}
+                and (kind is not float or math.isfinite(sum(value)))):
+            items = map(_LIST_TEXT[kind], value)
+        else:   # json writes each entry; a non-finite float raises
+            items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    else:   # a scalar or an empty container
+        return json.dumps(value, allow_nan=False)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as is, an int, float, bool or None as its text."""
+    if key is None or isinstance(key, (int, float)):
+        key = json.dumps(key, allow_nan=False)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def load_scenario(path) -> ScenarioSpec:

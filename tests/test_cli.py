@@ -84,6 +84,20 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_main_calls_in_one_process_do_not_share_options(tmp_path, capsys):
+    """main reuses one parser; each call still reads only its own argv."""
+    spec_path = write_json(tmp_path / "s.json", SCENARIO)
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--spec", spec_path, "--out", out, "--max-steps", "3"]) == EXIT_OK
+    assert json.loads((tmp_path / "run.meta.json").read_text())["scenario"]["max_steps"] == 3
+    assert main(["simulate", "--spec", spec_path, "--out", out]) == EXIT_OK
+    meta = json.loads((tmp_path / "run.meta.json").read_text())
+    assert meta["scenario"]["max_steps"] == SCENARIO["max_steps"]
+    config = write_json(tmp_path / "c.json", [0.1, 0.1, 0.9, 0.9])
+    assert main(["classify", "--config", config, "--k", "2"]) == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_simulate_missing_file_is_io_error(tmp_path):
     code = main(["simulate", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert code == 3

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnopinion.dynamics import (
@@ -222,7 +222,7 @@ def test_knn_indices_is_the_literal_rule(x):
             assert knn_indices(x, i, k) == oracle[:k]
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 @given(st.one_of(
     st.lists(FLOATS, min_size=1, max_size=10),
     st.lists(TIED, min_size=1, max_size=12),
@@ -230,6 +230,13 @@ def test_knn_indices_is_the_literal_rule(x):
     st.lists(COLLAPSED, min_size=1, max_size=12),
     st.lists(FRACTIONS, min_size=1, max_size=10),
 ))
+# ties at the k-th distance on both sides of x
+@example([0.0, 2.0, 1.0, 0.0, 2.0])
+# windows that reach both ends: all equal, and ties past both ends
+@example([0.5, 0.5, 0.5, 0.5])
+@example([0.0, 1.0, 2.0, 1.0, 0.0, 2.0])
+# distances that overflow to inf, which must still stop at both ends
+@example([-1.5e308, 1.5e308, 1.0e308, -1.0e308, 0.0])
 def test_index_knn_matches_sort_oracle(opinions):
     assert_index_matches_oracle(OpinionIndex(opinions), opinions)
 

@@ -179,9 +179,9 @@ def test_write_run_outputs_goes_through_both_exporters(tmp_path, monkeypatch):
     by wrapping them, so write_run_outputs must call them by module name."""
     calls = Counter()
     for name in ("trajectory_to_csv", "trajectory_to_svg"):
-        def counted(record, _name=name, _original=getattr(export, name)):
+        def counted(record, *args, _name=name, _original=getattr(export, name)):
             calls[_name] += 1
-            return _original(record)
+            return _original(record, *args)
         monkeypatch.setattr(export, name, counted)
     spec = parse_scenario({
         "model": {"kind": "knn", "k": 2},
@@ -191,3 +191,26 @@ def test_write_run_outputs_goes_through_both_exporters(tmp_path, monkeypatch):
     })
     export.write_run_outputs(simulate(spec), str(tmp_path / "run"), spec)
     assert calls == {"trajectory_to_csv": 1, "trajectory_to_svg": 1}
+
+
+def test_write_run_outputs_scans_the_snapshots_once(tmp_path, monkeypatch):
+    """Both writers take the blocks of one _blocks scan; alone, each scans."""
+    calls = []
+    scan = export._blocks
+    monkeypatch.setattr(export, "_blocks", lambda record: calls.append(record) or scan(record))
+    spec = parse_scenario({
+        "model": {"kind": "knn", "k": 2},
+        "initial": {"kind": "explicit", "opinions": [0.0, 0.5, 1.0]},
+        "schedule": {"kind": "uniform_random", "seed": 1},
+        "max_steps": 6,
+    })
+    record = simulate(spec)
+    export.write_run_outputs(record, str(tmp_path / "run"), spec)
+    assert calls == [record]
+    blocks = scan(record)
+    before = [(b.ids, list(b.steps), list(b.opinions), [list(c) for c in b.changed])
+              for b in blocks]
+    assert export.trajectory_to_csv(record, blocks) == export.trajectory_to_csv(record)
+    assert export.trajectory_to_svg(record, blocks) == export.trajectory_to_svg(record)
+    assert len(calls) == 3   # the two writers called with the record alone
+    assert [(b.ids, b.steps, b.opinions, b.changed) for b in blocks] == before
