@@ -218,7 +218,7 @@ def verify_lemma3_contraction(config: Configuration, k: int) -> VerifierReport:
     sel0 = extremal_selection(config, k)
     lo0 = min(config.opinions)
     state = run_schedule_tags(config, k, [MU] * (k - 1)).states[-1]
-    y_end = max(state.opinions[j] for j in knn_indices(state.keys, mu_index(state) - 1, k))
+    y_end = extremal_selection(state, k).y
     lo_end = min(state.opinions)
     lhs = y_end - lo_end
     rhs = (1 - Fraction(1, k)) * (sel0.y - lo0)

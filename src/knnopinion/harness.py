@@ -10,11 +10,13 @@ step from that step on.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import count, cycle
 from typing import Optional
 
-from .convergence import ShrinkSchedule
+from .convergence import MU, ShrinkSchedule
 from .dynamics import (
     Configuration,
     OpinionIndex,
@@ -28,6 +30,10 @@ from .numerics import (EXACT, FLOAT, Scalar, coerce_all, common_numerators, form
                        mean_exact, mean_float)
 from .rng import SeededRng
 from .scenario import (
+    ADDITION_TOL,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_TOL,
+    ROBUSTNESS_MAX_STEPS,
     EventSpec,
     InitialSpec,
     ModelSpec,
@@ -151,19 +157,12 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     opinions, backend = _build_initial(spec.initial)
     mean = mean_float if backend == FLOAT else _mean_exact_values
     ids = list(range(1, len(opinions) + 1))
-    next_id = len(opinions) + 1
+    new_ids = count(len(opinions) + 1)
 
     events_by_step = {e.step: e for e in spec.events}
     last_event_step = max(events_by_step, default=-1)
     rng_events = SeededRng(spec.event_seed).derive("events")
-    rng_sched = (
-        SeededRng(spec.schedule.seed).derive("schedule")
-        if spec.schedule.kind == "uniform_random"
-        else None
-    )
-    shrink_tags = (
-        ShrinkSchedule(spec.model.k).steps if spec.schedule.kind == "shrink" else None
-    )
+    updaters = _updater_positions(spec, ids, opinions)
 
     # k-NN neighbours, the probe and the envelope all read the sorted index;
     # positions shift on add/remove, so events rebuild it
@@ -178,12 +177,10 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     while True:
         event = events_by_step.get(t)
         if event is not None:
-            _apply_event(event, ids, opinions, next_id, backend, rng_events, record)
-            if event.kind == "add":
-                next_id += 1
+            _apply_event(event, ids, opinions, new_ids, backend, rng_events, record)
             index = OpinionIndex(opinions)
 
-        if t >= last_event_step and t % max(len(ids), 1) == 0:
+        if t >= last_event_step and t % len(ids) == 0:
             if backend == EXACT:
                 if _max_probe_move(index, spec.model, mean, 0) == 0:
                     record.stop_reason = STOP_EQUILIBRIUM
@@ -196,9 +193,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.stop_reason = STOP_MAX_STEPS
             break
 
-        updater_idx = _next_updater_index(
-            spec.schedule, t, ids, opinions, rng_sched, shrink_tags
-        )
+        updater_idx = next(updaters, None)
         if updater_idx is None:
             record.stop_reason = STOP_SCHEDULE_EXHAUSTED
             break
@@ -212,14 +207,13 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.recorded_steps.append(t)
             record.snapshots.append((tuple(ids), tuple(opinions)))
 
+    # the record ends with the final state, events of the stop step included
     record.total_steps = t
     final = record.final_ids, record.final_opinions = tuple(ids), tuple(opinions)
-    if t in events_by_step:
-        # the stop step's events fired after its state was recorded
-        record.mins[-1], record.maxs[-1] = index.min(), index.max()
-        if record.recorded_steps[-1] == t:
-            record.snapshots[-1] = final
-    if record.recorded_steps[-1] != t:
+    record.mins[-1], record.maxs[-1] = index.min(), index.max()
+    if record.recorded_steps[-1] == t:
+        record.snapshots[-1] = final
+    else:
         record.recorded_steps.append(t)
         record.snapshots.append(final)
     if record.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
@@ -231,47 +225,44 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     return record
 
 
-def _apply_event(event, ids, opinions, next_id, backend, rng_events, record):
+def _apply_event(event, ids, opinions, new_ids, backend, rng_events, record):
     if event.kind == "add":
         # validate_scenario admits floats and random opinions in float runs only
         if isinstance(event.opinion, tuple) and event.opinion[0] == "uniform_random":
             value = rng_events.uniform(event.opinion[1], event.opinion[2])
         else:
             value = float(event.opinion) if backend == FLOAT else Fraction(event.opinion)
-        ids.append(next_id)
+        agent = next(new_ids)
+        ids.append(agent)
         opinions.append(value)
-        record.events_log.append(
-            {"step": event.step, "kind": "add", "agent": next_id}
-        )
     else:
         # validate_scenario has checked that the agent is present
-        pos = bisect_left(ids, event.agent)
+        agent = event.agent
+        pos = bisect_left(ids, agent)
         del ids[pos]
         del opinions[pos]
-        record.events_log.append(
-            {"step": event.step, "kind": "remove", "agent": event.agent}
-        )
+    record.events_log.append({"step": event.step, "kind": event.kind, "agent": agent})
 
 
-def _next_updater_index(schedule, t, ids, opinions, rng_sched, shrink_tags):
+def _updater_positions(spec: ScenarioSpec, ids: list, opinions: list):
+    """Each step's updater position under the spec's schedule, read from the
+    run's live `ids` and `opinions`; ends when the schedule runs out."""
+    schedule = spec.schedule
     if schedule.kind == "uniform_random":
-        return rng_sched.randbelow(len(ids))
-    if schedule.kind == "explicit":
-        if t >= len(schedule.agents):
-            return None
-        agent = schedule.agents[t]
-        pos = bisect_left(ids, agent)
-        if pos >= len(ids) or ids[pos] != agent:
-            raise ScenarioError(f"schedule: agent {agent} not present at step {t}")
-        return pos
-    # shrink: repeat the 2k-2 tag pattern, recomputing the extremal agent
-    # from the current state at every step
-    if not shrink_tags:
-        return None
-    tag = shrink_tags[t % len(shrink_tags)]
-    if tag == "MU":
-        return opinions.index(min(opinions))
-    return opinions.index(max(opinions))
+        rng = SeededRng(schedule.seed).derive("schedule")
+        while True:
+            yield rng.randbelow(len(ids))
+    elif schedule.kind == "explicit":
+        for t, agent in enumerate(schedule.agents):
+            pos = bisect_left(ids, agent)
+            if pos >= len(ids) or ids[pos] != agent:
+                raise ScenarioError(f"schedule: agent {agent} not present at step {t}")
+            yield pos
+    else:
+        # shrink: repeat the 2k-2 tag pattern (empty at k=1), recomputing the
+        # extremal agent from the current state at every step
+        for tag in cycle(ShrinkSchedule(spec.model.k).steps):
+            yield opinions.index((min if tag == MU else max)(opinions))
 
 
 @dataclass
@@ -296,8 +287,8 @@ def monte_carlo_consensus(
     k: int,
     runs: int,
     seed,
-    max_steps: int = 10**6,
-    tol: float = 1e-9,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    tol: float = DEFAULT_TOL,
     allow_large_n: bool = False,
 ) -> MonteCarloStats:
     """Independent seeded runs with uniform random initial opinions in [0,1]
@@ -383,7 +374,7 @@ class AdditionReport:
 def _run_addition(base_floats, model, additions, schedule_seed, max_steps, tol):
     rec = simulate(ScenarioSpec(
         model=model,
-        initial=InitialSpec(kind="explicit", opinions=tuple(base_floats)),
+        initial=InitialSpec(kind="explicit", opinions=base_floats),
         schedule=ScheduleSpec(kind="uniform_random", seed=schedule_seed),
         events=tuple(EventSpec(kind="add", step=step, opinion=float(op))
                      for step, op in additions),
@@ -392,18 +383,16 @@ def _run_addition(base_floats, model, additions, schedule_seed, max_steps, tol):
         record_every=1,
         name="robustness-addition",
     ))
+    # additions only append, so the original agents are the first n0 positions
     n0 = len(base_floats)
-    untouched = all(ops[pos] == base_floats[agent - 1] for ids, ops in rec.snapshots
-                    for pos, agent in enumerate(ids) if agent <= n0)
-    finals = dict(zip(rec.final_ids, rec.final_opinions))
     return AdditionRunReport(
         model=model.kind,
-        originals_untouched=untouched,
+        originals_untouched=all(ops[:n0] == base_floats for _, ops in rec.snapshots),
         classification=rec.classification,
         stop_reason=rec.stop_reason,
         total_steps=rec.total_steps,
-        final_original_opinions=tuple(finals[a] for a in sorted(finals) if a <= n0),
-        final_added_opinions=tuple(finals[a] for a in sorted(finals) if a > n0),
+        final_original_opinions=rec.final_opinions[:n0],
+        final_added_opinions=rec.final_opinions[n0:],
     )
 
 
@@ -413,8 +402,8 @@ def robustness_addition(
     additions,
     schedule_seed,
     abc_d=None,
-    max_steps: int = 10**5,
-    tol: float = 1e-12,
+    max_steps: int = ROBUSTNESS_MAX_STEPS,
+    tol: float = ADDITION_TOL,
 ) -> AdditionReport:
     """Add agents to a certified clustered k-NN equilibrium and watch whether
     the original agents ever move (they must not, bit for bit).
@@ -426,7 +415,7 @@ def robustness_addition(
     the comparison experiment.
     """
     _require_clustered(base, k)
-    base_floats = [float(v) for v in base.opinions]
+    base_floats = tuple(float(v) for v in base.opinions)
     knn_report = _run_addition(
         base_floats, ModelSpec(kind="knn", k=k), additions, schedule_seed, max_steps, tol
     )
@@ -458,8 +447,8 @@ def robustness_removal(
     remove_id: int,
     abc_d=None,
     schedule_seed=0,
-    max_steps: int = 10**5,
-    tol: float = 1e-9,
+    max_steps: int = ROBUSTNESS_MAX_STEPS,
+    tol: float = DEFAULT_TOL,
 ) -> RemovalReport:
     """Remove one agent from a clustered k-NN equilibrium. The result stays
     an equilibrium iff the victim's cluster had at least k+1 members; when it
@@ -548,31 +537,22 @@ def batch_sweep(specs, jobs: int = 1) -> SweepResult:
     """Run every scenario (independently seeded via their own documents) and
     aggregate. Results merge in scenario order regardless of completion
     order, so the aggregate is deterministic."""
-    if jobs > 1:
+    # a pool starts all its workers at once, so it gets no more than there are entries
+    workers = min(jobs, len(specs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, specs))
     else:
         outcomes = [_sweep_one(spec) for spec in specs]
 
-    classifications: dict = {}
-    histogram: dict = {}
-    hitting = []
-    errors: dict = {}
-    for i, (result, error) in enumerate(outcomes):
-        if result is None:
-            errors[i] = error
-            continue
-        cls, groups, hit = result
-        classifications[cls] = classifications.get(cls, 0) + 1
-        if groups is not None:
-            histogram[groups] = histogram.get(groups, 0) + 1
-        hitting.append(hit)
+    results = [result for result, _ in outcomes if result is not None]
+    # a Counter keeps first-seen key order, so the report's bytes follow scenario order
     return SweepResult(
         total=len(specs),
-        classifications=classifications,
-        cluster_count_histogram=histogram,
-        hitting_times=hitting,
-        errors=errors,
+        classifications=dict(Counter(cls for cls, _, _ in results)),
+        cluster_count_histogram=dict(Counter(g for _, g, _ in results if g is not None)),
+        hitting_times=[hit for _, _, hit in results],
+        errors={i: error for i, (result, error) in enumerate(outcomes) if result is None},
     )

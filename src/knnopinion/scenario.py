@@ -49,6 +49,8 @@ from .rng import SeededRng
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_TOL = 1e-9
+ROBUSTNESS_MAX_STEPS = 10**5   # the step cap of a robustness run
+ADDITION_TOL = 1e-12   # an addition run's tol; a removal run's is DEFAULT_TOL
 REQUIRED = object()   # the default of a row whose key must be present
 
 
@@ -432,8 +434,8 @@ def parse_robustness(raw, mode) -> dict:
     _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
     abc_d = raw.get("abc_d")
     abc_d = None if abc_d is None else _abc_d(abc_d, "abc_d")
-    max_steps = _count(raw, "max_steps", 10**5, 0)
-    tol = _finite_float(raw.get("tol", 1e-12 if mode == "add" else 1e-9), "tol")
+    max_steps = _count(raw, "max_steps", ROBUSTNESS_MAX_STEPS, 0)
+    tol = _finite_float(raw.get("tol", ADDITION_TOL if mode == "add" else DEFAULT_TOL), "tol")
     _require(tol > 0, "tol", "must be positive")
     kwargs = dict(base=base, k=k, abc_d=abc_d,
                   schedule_seed=_seed(raw.get("schedule_seed", 0), "schedule_seed"),
@@ -537,6 +539,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
              "events", "steps must be strictly increasing")
     ids = set(range(1, n0 + 1))
     next_id = n0 + 1
+    backend = None   # the initial state's, worked out at the first addition that needs it
     for pos, event in enumerate(spec.events):
         _require(event.step <= spec.max_steps, f"events[{pos}].step",
                  f"step {event.step} is past max_steps={spec.max_steps}; it would never fire")
@@ -545,7 +548,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 _require(event.opinion[1] <= event.opinion[2], f"events[{pos}].opinion.low",
                          "must not exceed opinion.high")
             if isinstance(event.opinion, (tuple, float)):
-                _require(spec.initial.backend() == FLOAT, f"events[{pos}].opinion",
+                backend = backend or spec.initial.backend()
+                _require(backend == FLOAT, f"events[{pos}].opinion",
                          "an exact run adds only integers and 'p/q'")
             ids.add(next_id)
             next_id += 1

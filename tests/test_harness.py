@@ -404,6 +404,35 @@ def test_batch_sweep_parallel_matches_serial():
     assert serial.to_jsonable() == parallel.to_jsonable()
 
 
+def test_batch_sweep_starts_no_more_workers_than_entries(monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in process."""
+
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, 0.5, 0.5)))
+    assert batch_sweep([spec, spec], jobs=64).classifications == {CLASS_CONSENSUS: 2}
+    assert built == [2]
+    assert batch_sweep([spec], jobs=64).classifications == {CLASS_CONSENSUS: 1}
+    assert batch_sweep([], jobs=64).total == 0
+    assert built == [2]
+
+
 EXACT_SWEEP = [
     # the n=7, k=3 tie counterexample: a non-clustered equilibrium
     {"model": {"kind": "knn", "k": 3},
@@ -478,6 +507,16 @@ def test_simulate_decides_the_backend_once(coerce_all_calls, model):
         counts.append(len(coerce_all_calls))
     assert steps[0] == 100 < steps[1]
     assert counts[0] == counts[1]
+
+
+def test_validate_scenario_decides_the_backend_once(coerce_all_calls):
+    adds = [EventSpec(kind="add", step=s, opinion=0.5 if s % 2 else ("uniform_random", 0.0, 1.0))
+            for s in range(40)]
+    initial = InitialSpec(kind="explicit", opinions=tuple(i / 60 for i in range(60)))
+    spec = knn_spec(initial=initial, events=tuple(adds))
+    coerce_all_calls.clear()
+    validate_scenario(spec)
+    assert coerce_all_calls == [60]
 
 
 def test_shrink_schedule_on_a_built_configuration_never_coerces(coerce_all_calls):
