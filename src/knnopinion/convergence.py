@@ -5,6 +5,10 @@ All verifiers run on the exact backend: the contraction statements are
 inequalities between rationals and are certified, not approximated. Every
 verifier drives the one shared k-NN update implementation through an agent
 schedule; nothing re-implements the dynamics.
+
+An exact state's y and z come from one sort of its integer keys, as order
+statistics; a float state's come from knn_indices, since rounding can give
+two values one distance (see extremal_selection).
 """
 
 from __future__ import annotations
@@ -86,16 +90,20 @@ def big_m_index(config: Configuration) -> int:
 
 
 def extremal_selection(config: Configuration, k: int) -> ExtremalSelection:
-    _check_k(k, config.n)
-    mu = mu_index(config)
-    big_m = big_m_index(config)
     keys, den = config.keys, config.den
-    # max/min keep the first of equal keys in selection order (a float's signed zero)
-    y = max([keys[j] for j in knn_indices(keys, mu - 1, k)])
-    z = min([keys[j] for j in knn_indices(keys, big_m - 1, k)])
-    if den is not None:
-        y, z = Fraction(y, den), Fraction(z, den)
-    return ExtremalSelection(mu=mu, big_m=big_m, y=y, z=z)
+    n = len(keys)
+    _check_k(k, n)
+    if den is None:
+        mu, big_m = mu_index(config), big_m_index(config)
+        # max/min keep the first of equal keys in selection order (a float's signed zero)
+        y = max([keys[j] for j in knn_indices(keys, mu - 1, k)])
+        z = min([keys[j] for j in knn_indices(keys, big_m - 1, k)])
+        return ExtremalSelection(mu=mu, big_m=big_m, y=y, z=z)
+    # on integers v - min is exact and rises with v, so the mu agent's
+    # neighbours hold the k smallest keys and the big_m agent's the k largest
+    s = sorted(keys)
+    return ExtremalSelection(mu=keys.index(s[0]) + 1, big_m=keys.index(s[-1]) + 1,
+                             y=Fraction(s[k - 1], den), z=Fraction(s[n - k], den))
 
 
 def reflect(config: Configuration) -> Configuration:
@@ -106,7 +114,7 @@ def random_exact_configuration(n: int, rng: SeededRng) -> Configuration:
     """Random rational opinions in [0, 24] with a shared small denominator;
     the small range makes exact ties common, which exercises the tie rule."""
     den = rng.randbelow(12) + 1
-    return Configuration._from_keys([rng.randbelow(24 * den + 1) for _ in range(n)], den)
+    return Configuration._from_keys(rng.randbelow_many(24 * den + 1, n), den)
 
 
 def check_z_le_y(n: int, k: int, trials: int, seed) -> VerifierReport:
@@ -174,13 +182,16 @@ def run_shrink_schedule(config: Configuration, k: int) -> ScheduleRun:
 def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> VerifierReport:
     """All-mu schedule: the mu agent's neighbor set and its max opinion y
     stay constant; members only rise, never above y(0); non-members are
-    bit-constant."""
+    bit-constant. Opinions are compared on the stored keys: over positive
+    denominators, a/da < b/db iff a*db < b*da."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    _check_k(k, config.n)
+    keys0, den0 = config.keys, config.den
+    n = len(keys0)
+    _check_k(k, n)
 
-    members0 = set(knn_indices(config.keys, mu_index(config) - 1, k))
-    y0 = max(config.opinions[j] for j in members0)
+    members0 = set(knn_indices(keys0, mu_index(config) - 1, k))
+    y0 = max(keys0[j] for j in members0)   # y(0) is y0 / den0
     run = run_schedule_tags(config, k, [MU] * steps)
 
     def fail(step, reason):
@@ -192,20 +203,20 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
         )
 
     for t, mu in enumerate(run.updaters):
-        state, ops, after = run.states[t], run.states[t].opinions, run.states[t + 1].opinions
-        members = set(knn_indices(state.keys, mu - 1, k))
+        state, after = run.states[t], run.states[t + 1]
+        keys, den, new, new_den = state.keys, state.den, after.keys, after.den
+        members = set(knn_indices(keys, mu - 1, k))
         if members != members0:
             return fail(t, "neighbor set of the minimal agent changed")
-        y = max(ops[j] for j in members)
-        if y != y0:
+        if max(keys[j] for j in members) * den0 != y0 * den:
             return fail(t, "y changed")
-        for j in range(config.n):
+        for j in range(n):
             if j in members0:
-                if after[j] < ops[j]:
+                if new[j] * den < keys[j] * new_den:
                     return fail(t, f"member {j + 1} decreased")
-                if after[j] > y0:
+                if new[j] * den0 > y0 * new_den:
                     return fail(t, f"member {j + 1} exceeded y(0)")
-            elif after[j] != ops[j]:
+            elif new[j] * den != keys[j] * new_den:
                 return fail(t, f"non-member {j + 1} moved")
     return VerifierReport(
         name="mu_monotonicity", passed=True, detail={"steps": steps}

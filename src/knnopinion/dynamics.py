@@ -14,6 +14,9 @@ floats with den None. Scaling by a positive D keeps every distance order and
 every exact tie, so knn_neighbors, knn_update and diameter work on the
 stored keys, and an exact state builds no Fraction for them; knn_update and
 replace write through one exact store that takes the value as a ratio p/q.
+knn_update is the exact verifiers' hot path: it reads keys and den once and
+checks the agent id inline, and the store sets its slots through their own
+descriptors.
 
 knn_indices is the literal rule and the oracle: one stable sort of all n
 agents by the computed distance abs(v - x_i), so equal distances stay in id
@@ -93,9 +96,9 @@ class Configuration:
         if len(keys) == 0:
             raise ParameterError("a configuration needs at least one agent")
         keys = tuple(keys)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_opinions", keys if den is None else opinions)
+        _set_keys(self, keys)
+        _set_den(self, den)
+        _set_opinions(self, keys if den is None else opinions)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -111,8 +114,7 @@ class Configuration:
     @property
     def opinions(self) -> tuple:
         if self._opinions is None:
-            ops = tuple([Fraction(m, self.den) for m in self.keys])
-            object.__setattr__(self, "_opinions", ops)
+            _set_opinions(self, tuple([Fraction(m, self.den) for m in self.keys]))
         return self._opinions
 
     @property
@@ -150,7 +152,8 @@ class Configuration:
         g = math.gcd(p, q)
         p, q = p // g, q // g
         den = math.lcm(self.den, q)
-        keys = list(self.keys) if den == self.den else [m * (den // self.den) for m in self.keys]
+        scale = den // self.den
+        keys = list(self.keys) if scale == 1 else [m * scale for m in self.keys]
         keys[idx] = p * (den // q)
         return Configuration._from_keys(keys, den)
 
@@ -173,6 +176,11 @@ class Configuration:
 
     def __repr__(self):
         return f"Configuration({list(self.opinions)!r})"
+
+
+# the slots' own setters, which __setattr__ above blocks for everyone else
+_set_keys, _set_den, _set_opinions = (
+    Configuration.__dict__[name].__set__ for name in Configuration.__slots__)
 
 
 @dataclass(frozen=True)
@@ -286,12 +294,16 @@ def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
 
 
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:
-    _check_k(k, config.n)
-    config._check_agent(i)
-    idxs = knn_indices(config.keys, i - 1, k)
-    if config.den is None:
+    # the exact verifiers' hot path: keys and den read once, the id checked inline
+    keys, den = config.keys, config.den
+    n = len(keys)
+    _check_k(k, n)
+    if not 1 <= i <= n:
+        raise ParameterError(f"agent id {i} out of range 1..{n}")
+    idxs = knn_indices(keys, i - 1, k)
+    if den is None:
         return config.replace(i, _config_mean(config, idxs))
-    return config._put_ratio(i - 1, sum([config.keys[j] for j in idxs]), config.den * k)
+    return config._put_ratio(i - 1, sum([keys[j] for j in idxs]), den * k)
 
 
 def abc_update(config: Configuration, i: int, d: Scalar) -> Configuration:

@@ -99,21 +99,12 @@ def _first_mixed_neighborhood(config: Configuration, k: int):
 
 
 def is_clustered(config: Configuration, k: int) -> bool:
-    """True iff every agent's neighbor set is homogeneous at its own opinion.
-
-    Computed from the definition, then cross-checked against the equivalent
-    size criterion (every same-opinion group has >= k members), counted from
-    the groups of equal keys; a mismatch would be an implementation bug and
-    raises.
-    """
+    """True iff every agent's neighbor set is homogeneous at its own opinion,
+    computed from the definition. The equivalent size criterion (every
+    same-opinion group has >= k members) is certified against it by
+    verification.verify_cluster_size_equivalence."""
     _require_exact(config, "is_clustered")
-    by_definition = _first_mixed_neighborhood(config, k) is None
-    by_sizes = min(map(len, single_linkage_groups(config.keys, 0))) >= k
-    if by_definition != by_sizes:
-        raise RuntimeError(
-            f"cluster-size equivalence violated for {config!r}, k={k}"
-        )
-    return by_definition
+    return _first_mixed_neighborhood(config, k) is None
 
 
 def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
@@ -165,31 +156,22 @@ def _check_alpha_beta(alpha: Scalar, beta: Scalar) -> None:
 def build_tie_counterexample(alpha: Scalar, beta: Scalar) -> Configuration:
     """n=7 non-clustered equilibrium for k=3 that hinges on the tie rule:
     agents 1,3,5 at alpha, agents 2,4,6 at beta, agent 7 at the midpoint.
-    The construction is re-certified before being returned."""
+    verification.verify_counterexamples certifies it."""
     _check_alpha_beta(alpha, beta)
     alpha, beta = Fraction(alpha), Fraction(beta)
     mid = (alpha + beta) / 2
-    config = Configuration([alpha, beta, alpha, beta, alpha, beta, mid])
-    report = is_equilibrium(config, 3)
-    if not report.is_equilibrium or report.is_clustered:
-        raise RuntimeError("tie counterexample failed self-certification")
-    return config
+    return Configuration([alpha, beta, alpha, beta, alpha, beta, mid])
 
 
 def build_example1(alpha: Scalar, beta: Scalar) -> Configuration:
     """n=20 non-clustered equilibrium for k=5 that does not rely on ties:
-    11 agents at alpha, two at (3a+2b)/5, two at (2a+3b)/5, five at beta."""
+    11 agents at alpha, two at (3a+2b)/5, two at (2a+3b)/5, five at beta.
+    verification.verify_counterexamples certifies it."""
     _check_alpha_beta(alpha, beta)
     alpha, beta = Fraction(alpha), Fraction(beta)
     low_mid = (3 * alpha + 2 * beta) / 5
     high_mid = (2 * alpha + 3 * beta) / 5
-    config = Configuration(
-        [alpha] * 11 + [low_mid] * 2 + [high_mid] * 2 + [beta] * 5
-    )
-    report = is_equilibrium(config, 5)
-    if not report.is_equilibrium or report.is_clustered:
-        raise RuntimeError("example-1 construction failed self-certification")
-    return config
+    return Configuration([alpha] * 11 + [low_mid] * 2 + [high_mid] * 2 + [beta] * 5)
 
 
 def single_linkage_groups(opinions, tolerance) -> list:

@@ -43,6 +43,21 @@ class SeededRng:
             if v < m:
                 return v
 
+    def randbelow_many(self, m: int, count: int) -> list:
+        """`count` draws of randbelow(m) in one call: the same getrandbits
+        calls, so the same values and the same generator state after."""
+        if m <= 0:
+            raise ValueError("bound must be positive")
+        bits = (m - 1).bit_length() or 1
+        getrandbits = (self._r or self._seeded()).getrandbits
+        out = []
+        for _ in range(count):
+            v = getrandbits(bits)
+            while v >= m:
+                v = getrandbits(bits)
+            out.append(v)
+        return out
+
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * (self._r or self._seeded()).random()
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from knnopinion import cli
-from knnopinion.cli import EXIT_OK, EXIT_USAGE, main
+from knnopinion import cli, convergence, dynamics, equilibria
+from knnopinion.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 from knnopinion.export import CSV_HEADER, trajectory_to_csv
 from knnopinion.harness import simulate
 from knnopinion.scenario import json_text, load_scenario, parse_scenario
@@ -162,6 +162,26 @@ def test_verify_lemmas_report_is_pinned(tmp_path):
     assert main(["verify-lemmas", "--seed", "0", "--trials", "50", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "56699c43f7a99c0004f41f21e1237f4efdfeb3da7c6554c27de6a07ff59c483a")
+
+
+def test_verify_lemmas_reports_a_neighbour_rule_that_takes_k_plus_1(tmp_path, capsys,
+                                                                     monkeypatch):
+    # every certificate is checked in its verifier, so a wrong neighbour rule
+    # is a failed check in the report, not an exception out of a builder
+    real = dynamics.knn_indices
+    for module in (dynamics, equilibria, convergence):
+        monkeypatch.setattr(module, "knn_indices", lambda keys, idx, k: real(keys, idx, k + 1))
+    out = tmp_path / "suite.json"
+    assert main(["verify-lemmas", "--trials", "20", "--out", str(out)]) == EXIT_VERIFICATION_FAILED
+    payload = json.loads(out.read_text())
+    assert not payload["all_passed"]
+    assert {name: check["passed"] for name, check in payload["checks"].items()} == {
+        "cluster_size_equivalence": False, "clustered_implies_equilibrium": False,
+        "floor_bound_tight": False, "counterexamples": False, "mu_monotonicity": False,
+        "mu_contraction": True, "big_m_mirror": False, "z_le_y": True,
+        "shrink_contraction": False}
+    assert payload["checks"]["cluster_size_equivalence"]["detail"]["k"] == 1
+    assert "[FAIL] cluster_size_equivalence" in capsys.readouterr().err
 
 
 def test_robustness_add_cli(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from knnopinion.equilibria import (
     quantize_clusters,
 )
 from knnopinion.rng import SeededRng
-from knnopinion.verification import random_cluster_layout
+from knnopinion.verification import random_cluster_layout, verify_cluster_size_equivalence
 
 F = Fraction
 
@@ -83,15 +84,15 @@ def test_is_clustered_paper_cases():
 
 
 @pytest.mark.parametrize("mixed", [None, (1, (1, 2))])
-def test_is_clustered_raises_when_definition_and_sizes_disagree(monkeypatch, mixed):
-    """The size cross-check is a second computation: a neighbour rule that
-    disagrees with the group sizes is reported, not returned."""
+def test_size_certificate_fails_when_definition_and_sizes_disagree(monkeypatch, mixed):
+    """is_clustered computes the definition alone; the group sizes are a
+    second computation, made by the size certificate, so a neighbour rule
+    that disagrees with them is reported there with the layout it missed."""
     monkeypatch.setattr(equilibria, "_first_mixed_neighborhood", lambda config, k: mixed)
-    # groups of sizes 2 and 1: not clustered at k=2, clustered at k=1
-    config = Configuration([F(0), F(0), F(1)])
-    k = 2 if mixed is None else 1
-    with pytest.raises(RuntimeError, match="cluster-size equivalence violated"):
-        is_clustered(config, k)
+    report = verify_cluster_size_equivalence(50, 0)
+    assert (report.name, report.passed) == ("cluster_size_equivalence", False)
+    config, k = Configuration([F(v) for v in report.detail["config"]]), report.detail["k"]
+    assert is_clustered(config, k) != (min(Counter(config.keys).values()) >= k)
 
 
 def test_max_cluster_count():

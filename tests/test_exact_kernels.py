@@ -1,7 +1,7 @@
 """Differential tests of the exact kernels that work on integer numerators
 (knn_indices, mean_exact, mu_index, big_m_index, extremal_selection, the
-ratio store behind knn_update and replace, the clustered check) against
-the literal Fraction rules, which stay the oracle here."""
+ratio store behind knn_update and replace, the clustered check, the lemma 2
+comparisons) against the literal Fraction rules, which stay the oracle here."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knnopinion import convergence
 from knnopinion.convergence import (big_m_index, extremal_selection, mu_index,
                                     verify_lemma2_monotonicity, verify_lemma3_contraction)
 from knnopinion.dynamics import (Configuration, ParameterError, diameter, knn_indices,
@@ -246,6 +247,9 @@ def _literal_extremal(config, k):
 @given(st.one_of(EXACT_STATES, CLUSTERY.map(Configuration), FLOAT_LISTS.map(Configuration)))
 @example(Configuration([0.0, -0.0, 1.0, -0.0, 0.0]))
 @example(Configuration([1.0, 0.0, -0.0, -1.0, 0.0, -0.0]))
+# from -1e20, 0.0 and 1.0 are both 1e20 away, so at k=2 the tie goes to 1.0 by
+# id and y is 1.0, where the order statistic would give 0.0
+@example(Configuration([-1e20, 1.0, 0.0]))
 def test_extremal_selection_is_the_knn_neighbors_definition(config):
     for k in range(1, config.n + 1):
         sel = extremal_selection(config, k)
@@ -279,6 +283,72 @@ def test_clustered_and_equilibrium_witnesses_are_the_literal_ones(config):
         assert report.witnesses == expected
         assert report.is_clustered == is_clustered(config, k) == ("clustered" not in expected)
         assert report.is_equilibrium == ("equilibrium" not in expected)
+
+
+def _literal_lemma2(config, k, steps):
+    """verify_lemma2_monotonicity's report with every opinion compared as a
+    Fraction, on the same schedule run."""
+    members0 = set(knn_indices(config.opinions, mu_index(config) - 1, k))
+    y0 = max(config.opinions[j] for j in members0)
+    run = convergence.run_schedule_tags(config, k, [convergence.MU] * steps)
+
+    def fail(step, reason):
+        state = [str(v) for v in run.states[step].opinions]
+        return {"name": "mu_monotonicity", "passed": False,
+                "detail": {"step": step, "reason": reason, "state": state}}
+
+    for t, mu in enumerate(run.updaters):
+        ops, after = run.states[t].opinions, run.states[t + 1].opinions
+        members = set(knn_indices(ops, mu - 1, k))
+        if members != members0:
+            return fail(t, "neighbor set of the minimal agent changed")
+        if max(ops[j] for j in members) != y0:
+            return fail(t, "y changed")
+        for j in range(config.n):
+            if j in members0:
+                if after[j] < ops[j]:
+                    return fail(t, f"member {j + 1} decreased")
+                if after[j] > y0:
+                    return fail(t, f"member {j + 1} exceeded y(0)")
+            elif after[j] != ops[j]:
+                return fail(t, f"non-member {j + 1} moved")
+    return {"name": "mu_monotonicity", "passed": True, "detail": {"steps": steps}}
+
+
+# a move of a corrupted update: the true update (None), or some agent set to
+# a drawn value or to a copy of another agent's opinion, so that equal values
+# and values over other denominators meet in the comparisons
+MOVES = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=11),
+    st.one_of(st.none(), WIDE.map(lambda v: ("value", v)),
+              st.integers(min_value=0, max_value=11).map(lambda j: ("copy", j)))),
+    max_size=6)
+
+
+def _corrupted_update(moves):
+    """knn_update that makes the given moves, one per call, then the true ones."""
+    left = iter(moves)
+
+    def update(state, i, k):
+        offset, move = next(left, (0, None))
+        if move is None:
+            return knn_update(state, i, k)
+        kind, v = move
+        value = v if kind == "value" else state.opinions[v % state.n]
+        return state.replace((i - 1 + offset) % state.n + 1, value)
+
+    return update
+
+
+@DIFF
+@given(st.one_of(EXACT_STATES, CLUSTERY.map(Configuration)), MOVES, st.data())
+def test_lemma2_on_keys_is_the_fraction_comparison(config, moves, data):
+    k = data.draw(st.integers(min_value=1, max_value=config.n))
+    steps = data.draw(st.integers(min_value=1, max_value=6))
+    with mock.patch.object(convergence, "knn_update", _corrupted_update(moves)):
+        got = verify_lemma2_monotonicity(config, k, steps).to_jsonable()
+    with mock.patch.object(convergence, "knn_update", _corrupted_update(moves)):
+        assert got == _literal_lemma2(config, k, steps)
 
 
 @pytest.mark.parametrize("k", [0, 4])

@@ -60,3 +60,22 @@ def test_simulate_seeds_only_the_streams_it_draws(seedings):
     })
     simulate(spec)
     assert seedings == ["3:init", "9:schedule"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000, 2**40])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "drawn-before"])
+def test_randbelow_many_is_repeated_randbelow(warm, m):
+    one, batch = SeededRng("zy:5:3"), SeededRng("zy:5:3")
+    if warm:
+        one.randbelow(3)
+        batch.randbelow(3)
+    assert batch.randbelow_many(m, 40) == [one.randbelow(m) for _ in range(40)]
+    # the same getrandbits calls, so the generator is left in the same state
+    assert batch._r.getstate() == one._r.getstate()
+    assert batch.randbelow_many(m, 0) == []
+    assert batch._r.getstate() == one._r.getstate()
+
+
+def test_randbelow_many_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SeededRng(5).randbelow_many(0, 3)

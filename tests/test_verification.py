@@ -4,18 +4,21 @@ Every check of `run_suite` must keep its verdict and its detail when a
 fault makes it fail, and every random state it draws must stay the same.
 `failing_suite_reports.json` holds the reports the suite gave for these
 faults before its trial loops were merged into `convergence.scan_trials`.
+Further faults, one per lemma verdict that none of those reaches, check
+that each such verdict is reported with its check's name and reason.
 """
 
 import hashlib
 import json
 from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from knnopinion import convergence, verification
-from knnopinion.dynamics import ParameterError
+from knnopinion.dynamics import Configuration, ParameterError, knn_indices
 from knnopinion.verification import run_suite
 
 EXPECTED = json.loads((Path(__file__).parent / "failing_suite_reports.json").read_text())
@@ -101,3 +104,68 @@ def test_no_trials_is_an_error_not_a_pass(verifier, trials):
     # a verifier that runs no trial certifies nothing, so it must not pass
     with pytest.raises(ParameterError, match="must be >= 1"):
         verifier[1](trials)
+
+
+# Faults for the verdicts no suite fault reaches. Each is injected into the
+# module that the checks look their helpers up in at call time.
+
+def update_to_neighborhood_max(monkeypatch):
+    def corrupted(config, i, k):
+        ops = config.opinions
+        return config.replace(i, max(ops[j] for j in knn_indices(config.keys, i - 1, k)))
+
+    monkeypatch.setattr(convergence, "knn_update", corrupted)
+
+
+def run_from_doubled_state(monkeypatch):
+    real = convergence.run_schedule_tags
+    monkeypatch.setattr(convergence, "run_schedule_tags", lambda config, k, tags: real(
+        Configuration._from_keys([2 * v for v in config.keys], config.den), k, tags))
+
+
+def update_next_agent(monkeypatch):
+    real = convergence.knn_update
+    monkeypatch.setattr(convergence, "knn_update",
+                        lambda config, i, k: real(config, i % config.n + 1, k))
+
+
+def last_maximizer(monkeypatch):
+    monkeypatch.setattr(convergence, "big_m_index", lambda config: (
+        len(config.keys) - config.keys[::-1].index(max(config.keys))))
+
+
+def lemma2(config, k):
+    return convergence.verify_lemma2_monotonicity(config, k, steps=3)
+
+
+def lemma_bigm(config, k):
+    return convergence.verify_lemma_bigm(config, k, steps=3)
+
+
+VERDICTS = [
+    # [2, 2, 0] at k=2: agent 3 jumps to its neighbours' max, 2; then agent 1
+    # is the lowest, and its neighbours are agents 1 and 2, not 1 and 3
+    (update_to_neighborhood_max, lemma2, [2, 2, 0], 2,
+     "mu_monotonicity", 1, "neighbor set of the minimal agent changed"),
+    # the run starts from (0, 2, 10): agent 1's neighbours are the same,
+    # their max is not
+    (run_from_doubled_state, lemma2, [0, 1, 5], 2, "mu_monotonicity", 0, "y changed"),
+    # agent 2 updates in place of agent 1: to 1/2, a member, then to 3, not one
+    (update_next_agent, lemma2, [0, 1, 5], 2, "mu_monotonicity", 0, "member 2 decreased"),
+    (update_next_agent, lemma2, [0, 5, 1], 2, "mu_monotonicity", 0, "non-member 2 moved"),
+    # agent 3 updates on x where agent 1 does on -x, both to the mean 14/3
+    (last_maximizer, lemma_bigm, [5, 4, 5], 3, "big_m_mirror", 1, "reflection identity broken"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, check, opinions, k, name, step, reason", VERDICTS,
+    ids=[f"{v[0].__name__}-{v[6]}" for v in VERDICTS])
+def test_each_lemma_verdict_is_reached(monkeypatch, fault, check, opinions, k, name, step,
+                                       reason):
+    config = Configuration([F(v) for v in opinions])
+    assert check(config, k).passed
+    fault(monkeypatch)
+    report = check(config, k)
+    assert (report.name, report.passed) == (name, False)
+    assert (report.detail["step"], report.detail["reason"]) == (step, reason)
