@@ -16,7 +16,6 @@ from .dynamics import (
 from .equilibria import (
     ClusterPartition,
     EquilibriumReport,
-    build_clustered,
     build_example1,
     build_tie_counterexample,
     is_clustered,
@@ -39,6 +38,8 @@ from .harness import (
     MonteCarloStats,
     TrajectoryRecord,
     batch_sweep,
+    classify_configuration,
+    figure_runs,
     monte_carlo_consensus,
     robustness_addition,
     robustness_removal,

@@ -11,37 +11,25 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .dynamics import ParameterError
-from .equilibria import (
-    build_example1,
-    is_equilibrium,
-    quantize_clusters,
-)
 from .export import write_run_outputs
 from .harness import (
-    CLASS_CLUSTERED,
-    CLASS_NON_CLUSTERED,
-    STOP_CONVERGED,
-    _limit_class,
+    batch_sweep,
+    classify_configuration,
+    figure_runs,
     robustness_addition,
     robustness_removal,
-    batch_sweep,
     simulate,
 )
-from .numerics import EXACT, BackendError
+from .numerics import BackendError
 from .scenario import (
-    EventSpec,
-    InitialSpec,
-    ModelSpec,
     ScenarioError,
-    ScenarioSpec,
-    ScheduleSpec,
     _require,
     int_at_least,
     json_text,
@@ -87,19 +75,7 @@ def cmd_classify(args) -> int:
         raise ParameterError("--tol: must be a finite positive number")
     config = parse_configuration(load_json(args.config))
     _require(1 <= args.k <= config.n, "--k", f"must be between 1 and n={config.n}")
-    if config.backend == EXACT:
-        report = is_equilibrium(config, args.k)
-        payload = {"mode": "exact", "k": args.k, **report.to_jsonable()}
-    else:
-        part = quantize_clusters(config, args.tol)
-        payload = {
-            "mode": "numerical",
-            "k": args.k,
-            "tolerance": args.tol,
-            "classification": _limit_class(part.sizes, args.k),
-            "clusters": part.to_jsonable(),
-        }
-    _write_json(payload, args.out)
+    _write_json(classify_configuration(config, args.k, args.tol), args.out)
     return EXIT_OK
 
 
@@ -129,93 +105,19 @@ def cmd_sweep(args) -> int:
     return EXIT_USAGE if result.errors else EXIT_OK
 
 
-def _figure_spec_clustered(seed, max_steps):
-    return ScenarioSpec(
-        model=ModelSpec(kind="knn", k=5),
-        initial=InitialSpec(kind="uniform_random", n=20, low=0.0, high=1.0, seed=seed),
-        schedule=ScheduleSpec(kind="uniform_random", seed=seed),
-        max_steps=max_steps,
-        record_every=5,
-        name=f"n20-k5-seed{seed}",
-    )
-
-
 def cmd_figures(args) -> int:
     _require(int_at_least(args.seed_range, 1), "--seed-range", "must be a positive integer")
     _require(int_at_least(args.max_steps, 0), "--max-steps", "must be a nonnegative integer")
-    notes = {}
-
-    # Figures A and B: the first converged clustered and the first converged
-    # non-clustered limit at n=20, k=5, found in one scan over the seeds.
-    found = {}   # classification -> (seed, spec, record)
-    for seed in range(args.seed_range):
-        spec = _figure_spec_clustered(seed, args.max_steps)
-        record = simulate(spec)
-        if record.stop_reason == STOP_CONVERGED:
-            found.setdefault(record.classification, (seed, spec, record))
-            if CLASS_CLUSTERED in found and CLASS_NON_CLUSTERED in found:
-                break
-    _require(CLASS_CLUSTERED in found, "--seed-range",
-             f"no run in seeds 0..{args.seed_range - 1} converged to a clustered "
-             f"limit within --max-steps {args.max_steps}")
+    runs, notes = figure_runs(args.seed_range, args.max_steps, args.addition_seed)
     os.makedirs(args.out, exist_ok=True)
-    notes["clustered_seed"], fig1_spec, fig1_record = found[CLASS_CLUSTERED]
-    _emit_figure(args.out, "fig_clustered", fig1_spec, fig1_record)
-
-    # If the seed range has no non-clustered limit, the exact 20-agent
-    # construction stands in for figure B.
-    if CLASS_NON_CLUSTERED in found:
-        notes["non_clustered_seed"], fig2_spec, fig2_record = found[CLASS_NON_CLUSTERED]
-    else:
-        notes["non_clustered_seed"] = None
-        notes["non_clustered_fallback"] = (
-            "no non-clustered limit found in the seed range; "
-            "emitting the exact 20-agent construction instead"
-        )
-        config = build_example1(Fraction(0), Fraction(1))
-        fig2_spec = ScenarioSpec(
-            model=ModelSpec(kind="knn", k=5),
-            initial=InitialSpec(kind="explicit", opinions=tuple(config.opinions)),
-            schedule=ScheduleSpec(kind="uniform_random", seed=0),
-            max_steps=40,
-            record_every=1,
-            name="non-clustered-exact",
-        )
-        fig2_record = simulate(fig2_spec)
-    _emit_figure(args.out, "fig_non_clustered", fig2_spec, fig2_record)
-
-    # Figure C: four additions to a ten-agent consensus at 0.4; k-NN upper
-    # (consensus untouched) vs ABC d=0.25 lower (consensus swayed), same
-    # added opinions and same update order.
-    events = tuple(
-        EventSpec(kind="add", step=step, opinion=("uniform_random", 0.0, 1.0))
-        for step in (2, 3, 4, 5)
-    )
-    common = dict(
-        initial=InitialSpec(kind="explicit", opinions=tuple([0.4] * 10)),
-        schedule=ScheduleSpec(kind="uniform_random", seed=args.addition_seed),
-        events=events,
-        event_seed=args.addition_seed,
-        max_steps=args.max_steps,
-        record_every=1,
-    )
-    fig3_knn = ScenarioSpec(model=ModelSpec(kind="knn", k=5),
-                            name="addition-knn", **common)
-    fig3_abc = ScenarioSpec(model=ModelSpec(kind="abc", d=0.25),
-                            name="addition-abc", **common)
-    _emit_figure(args.out, "fig_addition_knn", fig3_knn, simulate(fig3_knn))
-    _emit_figure(args.out, "fig_addition_abc", fig3_abc, simulate(fig3_abc))
-
+    for stem, spec, record in runs:
+        prefix = os.path.join(args.out, stem)
+        with open(f"{prefix}.scenario.json", "w") as fh:
+            fh.write(spec.to_json())
+        write_run_outputs(record, prefix, spec)
     _write_json(notes, os.path.join(args.out, "figures.meta.json"))
     print(f"figures written to {args.out}")
     return EXIT_OK
-
-
-def _emit_figure(outdir, stem, spec, record):
-    prefix = os.path.join(outdir, stem)
-    with open(f"{prefix}.scenario.json", "w") as fh:
-        fh.write(spec.to_json())
-    write_run_outputs(record, prefix, spec)
 
 
 @functools.cache
@@ -273,6 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # a scenario's name may hold characters a narrow locale cannot
+        # encode; stdout escapes them, as stderr does, rather than raising
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -139,13 +139,6 @@ def max_cluster_count(n: int, k: int) -> int:
     return n // k
 
 
-def build_clustered(groups) -> Configuration:
-    """Configuration from (opinion, size) pairs, ids assigned in blocks."""
-    if not groups:
-        raise ParameterError("need at least one group")
-    return Configuration([op for op, size in groups for _ in range(size)])
-
-
 def _check_alpha_beta(alpha: Scalar, beta: Scalar) -> None:
     if not (isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))):
         raise FloatBackendError("counterexample constructors are exact-only")

@@ -25,7 +25,8 @@ from .dynamics import (
     abc_indices,
     abc_update,
 )
-from .equilibria import is_clustered, is_equilibrium, single_linkage_groups
+from .equilibria import (build_example1, is_clustered, is_equilibrium, quantize_clusters,
+                         single_linkage_groups)
 from .numerics import (EXACT, FLOAT, Scalar, coerce_all, common_numerators, format_scalar,
                        mean_exact, mean_float)
 from .rng import SeededRng
@@ -556,3 +557,88 @@ def batch_sweep(specs, jobs: int = 1) -> SweepResult:
         hitting_times=[hit for _, _, hit in results],
         errors={i: error for i, (result, error) in enumerate(outcomes) if result is None},
     )
+
+
+def classify_configuration(config: Configuration, k: int, tol) -> dict:
+    """The `classify` report of a configuration: the equilibrium report of an
+    exact state, or the groups of a float state at tolerance `tol` with the
+    label `simulate` gives a limit state (`_limit_class`)."""
+    if config.backend == EXACT:
+        return {"mode": "exact", "k": k, **is_equilibrium(config, k).to_jsonable()}
+    part = quantize_clusters(config, tol)
+    return {
+        "mode": "numerical",
+        "k": k,
+        "tolerance": tol,
+        "classification": _limit_class(part.sizes, k),
+        "clusters": part.to_jsonable(),
+    }
+
+
+def figure_runs(seed_range: int, max_steps: int, addition_seed) -> tuple:
+    """The runs of the three demo figures, as (stem, spec, record) triples in
+    writing order, and the notes of `figures.meta.json`.
+
+    Figures A and B are the first converged clustered and the first
+    converged non-clustered limit at n=20, k=5, found in one scan over seeds
+    0..seed_range-1; a range without a clustered limit raises ScenarioError,
+    and one without a non-clustered limit falls back to the exact 20-agent
+    construction. Figure C adds four agents to a ten-agent consensus at 0.4:
+    k-NN (consensus untouched) and ABC d=0.25 (consensus swayed), with the
+    same added opinions and the same update order."""
+    found = {}   # classification -> (seed, spec, record)
+    for seed in range(seed_range):
+        spec = ScenarioSpec(
+            model=ModelSpec(kind="knn", k=5),
+            initial=InitialSpec(kind="uniform_random", n=20, low=0.0, high=1.0, seed=seed),
+            schedule=ScheduleSpec(kind="uniform_random", seed=seed),
+            max_steps=max_steps,
+            record_every=5,
+            name=f"n20-k5-seed{seed}",
+        )
+        record = simulate(spec)
+        if record.stop_reason == STOP_CONVERGED:
+            found.setdefault(record.classification, (seed, spec, record))
+            if CLASS_CLUSTERED in found and CLASS_NON_CLUSTERED in found:
+                break
+    if CLASS_CLUSTERED not in found:
+        raise ScenarioError(f"--seed-range: no run in seeds 0..{seed_range - 1} converged to a "
+                            f"clustered limit within --max-steps {max_steps}")
+    notes = {}
+    notes["clustered_seed"], spec, record = found[CLASS_CLUSTERED]
+    runs = [("fig_clustered", spec, record)]
+
+    if CLASS_NON_CLUSTERED in found:
+        notes["non_clustered_seed"], spec, record = found[CLASS_NON_CLUSTERED]
+    else:
+        notes["non_clustered_seed"] = None
+        notes["non_clustered_fallback"] = (
+            "no non-clustered limit found in the seed range; "
+            "emitting the exact 20-agent construction instead"
+        )
+        spec = ScenarioSpec(
+            model=ModelSpec(kind="knn", k=5),
+            initial=InitialSpec(kind="explicit",
+                                opinions=build_example1(Fraction(0), Fraction(1)).opinions),
+            schedule=ScheduleSpec(kind="uniform_random", seed=0),
+            max_steps=40,
+            record_every=1,
+            name="non-clustered-exact",
+        )
+        record = simulate(spec)
+    runs.append(("fig_non_clustered", spec, record))
+
+    common = dict(
+        initial=InitialSpec(kind="explicit", opinions=(0.4,) * 10),
+        schedule=ScheduleSpec(kind="uniform_random", seed=addition_seed),
+        events=tuple(EventSpec(kind="add", step=step, opinion=("uniform_random", 0.0, 1.0))
+                     for step in (2, 3, 4, 5)),
+        event_seed=addition_seed,
+        max_steps=max_steps,
+        record_every=1,
+    )
+    for stem, model, name in (("fig_addition_knn", ModelSpec(kind="knn", k=5), "addition-knn"),
+                              ("fig_addition_abc", ModelSpec(kind="abc", d=0.25), "addition-abc")):
+        spec = ScenarioSpec(model=model, name=name, **common)
+        runs.append((stem, spec, simulate(spec)))
+    return runs, notes

@@ -454,8 +454,9 @@ def parse_robustness(raw, mode) -> dict:
 def load_json(path):
     """The JSON document in the file at `path`. A document json cannot read
     (malformed, nested past the recursion limit, or an integer past Python's
-    digit limit) raises a ScenarioError that names the path."""
-    with open(path) as fh:
+    digit limit) raises a ScenarioError that names the path. JSON is UTF-8
+    (RFC 8259), whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -8,7 +8,6 @@ tolerances. These are the binding checks for a release; run with
 from fractions import Fraction
 
 from knnopinion.equilibria import (
-    build_clustered,
     build_example1,
     build_tie_counterexample,
     is_clustered,
@@ -32,6 +31,7 @@ from knnopinion.verification import (
     verify_shrink_grid,
     verify_zy_dichotomy_grid,
 )
+from builders import build_clustered
 
 F = Fraction
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import knnopinion
 from knnopinion import cli, convergence, dynamics, equilibria
 from knnopinion.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 from knnopinion.export import CSV_HEADER, trajectory_to_csv
@@ -75,6 +80,23 @@ def test_simulate_writes_csv_meta_svg(tmp_path, capsys):
     # the file must equal the library's own rendering of the same scenario
     record = simulate(load_scenario(spec_path))
     assert csv_text == trajectory_to_csv(record)
+
+
+def test_simulate_reads_utf8_and_reports_under_an_ascii_locale(tmp_path):
+    # a C locale with neither UTF-8 mode nor locale coercion: the locale's
+    # encoding and stdout's are ASCII
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(dict(SCENARIO, name="café"), ensure_ascii=False),
+                         encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(knnopinion.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "knnopinion.cli", "simulate", "--spec", str(spec_path),
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    meta = json.loads((tmp_path / "run.meta.json").read_text(encoding="utf-8"))
+    assert meta["name"] == "café"
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):

@@ -7,7 +7,6 @@ from knnopinion import equilibria
 from knnopinion.dynamics import Configuration
 from knnopinion.equilibria import (
     FloatBackendError,
-    build_clustered,
     build_example1,
     build_tie_counterexample,
     is_clustered,
@@ -18,6 +17,7 @@ from knnopinion.equilibria import (
 )
 from knnopinion.rng import SeededRng
 from knnopinion.verification import random_cluster_layout, verify_cluster_size_equivalence
+from builders import build_clustered
 
 F = Fraction
 

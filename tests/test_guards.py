@@ -8,9 +8,8 @@ import pytest
 
 from knnopinion.convergence import verify_lemma2_monotonicity
 from knnopinion.dynamics import Configuration, ParameterError
-from knnopinion.equilibria import (FloatBackendError, build_clustered,
-                                   build_tie_counterexample, max_cluster_count,
-                                   quantize_clusters)
+from knnopinion.equilibria import (FloatBackendError, build_tie_counterexample,
+                                   max_cluster_count, quantize_clusters)
 from knnopinion.harness import monte_carlo_consensus
 from knnopinion.numerics import BackendError, backend_of
 from knnopinion.rng import SeededRng
@@ -37,8 +36,6 @@ GUARDS = [
      AttributeError, "Configuration is immutable"),
     ("max-cluster-count-k-above-n", lambda _: max_cluster_count(3, 4),
      ParameterError, "k=4 violates 1 <= k <= n=3"),
-    ("clustered-without-groups", lambda _: build_clustered([]),
-     ParameterError, "need at least one group"),
     ("float-tie-counterexample", lambda _: build_tie_counterexample(0.0, 1.0),
      FloatBackendError, "counterexample constructors are exact-only"),
     ("quantize-at-zero-tolerance",

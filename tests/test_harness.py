@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from knnopinion import harness, numerics
 from knnopinion.convergence import run_shrink_schedule
 from knnopinion.dynamics import Configuration, OpinionIndex
-from knnopinion.equilibria import build_clustered
 from knnopinion.export import trajectory_to_csv
 from knnopinion.harness import (
     CLASS_CONSENSUS,
@@ -17,6 +16,7 @@ from knnopinion.harness import (
     STOP_MAX_STEPS,
     NotClusteredError,
     batch_sweep,
+    figure_runs,
     monte_carlo_consensus,
     robustness_addition,
     robustness_removal,
@@ -33,6 +33,7 @@ from knnopinion.scenario import (
     parse_scenario,
     validate_scenario,
 )
+from builders import build_clustered
 
 F = Fraction
 
@@ -526,3 +527,20 @@ def test_shrink_schedule_on_a_built_configuration_never_coerces(coerce_all_calls
     run = run_shrink_schedule(config, 7)
     assert len(run.states) == 13
     assert coerce_all_calls == []
+
+
+def test_figure_runs_finds_both_limits_in_the_default_range():
+    runs, notes = figure_runs(120, 200000, 7)
+    assert [stem for stem, _, _ in runs] == [
+        "fig_clustered", "fig_non_clustered", "fig_addition_knn", "fig_addition_abc"]
+    assert notes == {"clustered_seed": 0, "non_clustered_seed": 49}
+
+
+def test_figure_runs_falls_back_to_the_exact_construction():
+    runs, notes = figure_runs(10, 200000, 7)
+    assert notes["non_clustered_seed"] is None
+    assert "exact 20-agent construction" in notes["non_clustered_fallback"]
+    stem, _, record = runs[1]
+    assert stem == "fig_non_clustered"
+    assert (record.backend, record.stop_reason, record.total_steps) == (
+        "exact", STOP_EQUILIBRIUM, 0)

@@ -4,6 +4,10 @@ no public module-level function or class goes unnamed in `src/` and
 `tests/`, and no public method of a class goes unnamed as an attribute
 there.
 
+`cli` is a thin shell: it imports nothing from `equilibria`, no scenario
+spec class and no private name of `harness`, so every experiment and label
+rule it runs lives in the library.
+
 Only `scenario` imports `json`, so every document is read by `load_json` and
 every JSON output is written by `json_text`, which rejects NaN.
 
@@ -143,3 +147,23 @@ def test_the_method_check_sees_unnamed_methods():
 def test_module_public_methods_are_named_somewhere(module):
     sources = [p.read_text() for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]]
     assert unnamed_public_methods((PACKAGE / f"{module}.py").read_text(), sources) == []
+
+
+def imported_names(source: str, module: str) -> set:
+    """Names that `source` imports from the sibling `module` (`from .module import ...`)."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for a in node.names}
+
+
+def test_the_name_check_sees_relative_imports_only():
+    source = "from .harness import a, _b\nfrom harness import c\nfrom . import harness\n"
+    assert imported_names(source, "harness") == {"a", "_b"}
+
+
+def test_cli_is_a_thin_shell():
+    source = (PACKAGE / "cli.py").read_text()
+    assert imported_names(source, "equilibria") == set()
+    spec_classes = {"ScenarioSpec", "ModelSpec", "InitialSpec", "ScheduleSpec", "EventSpec"}
+    assert imported_names(source, "scenario") & spec_classes == set()
+    assert [n for n in imported_names(source, "harness") if n.startswith("_")] == []
