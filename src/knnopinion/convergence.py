@@ -2,7 +2,8 @@
 shrinking schedule, and certified checks of the contraction machinery.
 
 All verifiers run on the exact backend: the contraction statements are
-inequalities between rationals and are certified, not approximated. Every
+inequalities between rationals and are certified, not approximated, so the
+four lemma verifiers raise FloatBackendError on a float state. Every
 verifier drives the one shared k-NN update implementation through an agent
 schedule; nothing re-implements the dynamics.
 
@@ -25,6 +26,7 @@ from .dynamics import (
     knn_indices,
     knn_update,
 )
+from .equilibria import _require_exact
 from .numerics import Scalar
 from .rng import SeededRng
 
@@ -184,6 +186,7 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
     stay constant; members only rise, never above y(0); non-members are
     bit-constant. Opinions are compared on the stored keys: over positive
     denominators, a/da < b/db iff a*db < b*da."""
+    _require_exact(config, "verify_lemma2_monotonicity", "")
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     keys0, den0 = config.keys, config.den
@@ -226,6 +229,7 @@ def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> Ver
 def verify_lemma3_contraction(config: Configuration, k: int) -> VerifierReport:
     """After k-1 all-mu steps:
     y - min <= (1 - 1/k) * (y(0) - min(0)), certified exactly."""
+    _require_exact(config, "verify_lemma3_contraction", "")
     sel0 = extremal_selection(config, k)
     lo0 = min(config.opinions)
     state = run_schedule_tags(config, k, [MU] * (k - 1)).states[-1]
@@ -246,6 +250,7 @@ def verify_lemma_bigm(config: Configuration, k: int, steps: int) -> VerifierRepo
     agree, and the mu-side checks on -x are the M-side checks on x. The M
     schedule run directly on x is cross-checked against the negated mu
     schedule on -x."""
+    _require_exact(config, "verify_lemma_bigm", "")
     mirror = reflect(config)
     for report in (verify_lemma2_monotonicity(mirror, k, steps),
                    verify_lemma3_contraction(mirror, k)):
@@ -266,6 +271,7 @@ def verify_lemma_bigm(config: Configuration, k: int, steps: int) -> VerifierRepo
 def verify_shrink_contraction(config: Configuration, k: int) -> VerifierReport:
     """Certify diameter(T) <= (1 - 1/k) * diameter(0) after the shrink
     schedule (valid claim for n < 2k; reported, not asserted, otherwise)."""
+    _require_exact(config, "verify_shrink_contraction", "")
     run = run_shrink_schedule(config, k)
     d0, dT = diameter(run.states[0]), diameter(run.states[-1])
     bound = (1 - Fraction(1, k)) * d0

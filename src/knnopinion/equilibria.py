@@ -27,12 +27,10 @@ class FloatBackendError(BackendError):
     """Exact classification asked of a float configuration."""
 
 
-def _require_exact(config: Configuration, what: str) -> None:
+def _require_exact(config: Configuration, what: str,
+                   remedy: str = "; for float configurations use quantize_clusters") -> None:
     if config.backend != EXACT:
-        raise FloatBackendError(
-            f"{what} requires the exact backend; "
-            "for float configurations use quantize_clusters"
-        )
+        raise FloatBackendError(f"{what} requires the exact backend{remedy}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .equilibria import (build_example1, is_clustered, is_equilibrium, quantize_clusters,
                          single_linkage_groups)
-from .numerics import (EXACT, FLOAT, Scalar, coerce_all, common_numerators, format_scalar,
+from .numerics import (EXACT, FLOAT, coerce_all, common_numerators, format_scalar,
                        mean_exact, mean_float)
 from .rng import SeededRng
 from .scenario import (
@@ -85,38 +85,23 @@ def _build_initial(spec: InitialSpec):
     return coerce_all(spec.fixed_opinions())
 
 
-def _mean_exact_values(values) -> Fraction:
-    return mean_exact(*common_numerators(values))
-
-
-def _updated_value(index: OpinionIndex, idx, model: ModelSpec, mean) -> Scalar:
-    """The opinion agent idx moves to; `mean` is the run's typed mean kernel,
-    mean_float or _mean_exact_values."""
+def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
+    """The run's update map, idx -> agent idx's new opinion: the typed mean
+    of its neighbours under `model`. It holds `index`, so a rebuilt index
+    needs a new map."""
     opinions = index.opinions
+    mean = (mean_float if backend == FLOAT
+            else lambda values: mean_exact(*common_numerators(values)))
     if model.kind == "knn":
-        idxs = index.knn(idx, model.k)
-    else:
-        idxs = abc_indices(opinions, idx, model.d)
-    return mean([opinions[j] for j in idxs])
+        knn, k = index.knn, model.k
+        return lambda idx: mean([opinions[j] for j in knn(idx, k)])
+    d = model.d
+    return lambda idx: mean([opinions[j] for j in abc_indices(opinions, idx, d)])
 
 
-def _max_probe_move(index: OpinionIndex, model: ModelSpec, mean, ceiling) -> Scalar:
-    """Largest single-agent update displacement, with `mean` the run's typed
-    mean kernel; bails out at the first probe that reaches the ceiling, so
-    with ceiling 0 it stops at the first agent that moves."""
-    opinions = index.opinions
-    worst = 0.0
-    for idx in range(len(opinions)):
-        move = abs(_updated_value(index, idx, model, mean) - opinions[idx])
-        if move > worst:
-            worst = move
-            if worst >= ceiling:
-                break
-    return worst
-
-
-def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
-    """Two-stage stop rule for float runs.
+def _float_converged(update, opinions: list, k, tol: float) -> bool:
+    """Two-stage stop rule for float runs, with `update` the run's update
+    map and `k` its k-NN k (None under ABC).
 
     Limits are approached asymptotically, so a bare probe test cannot tell a
     slow transit from a limit. A run stops when every probe update moves less
@@ -125,18 +110,20 @@ def _float_converged(index: OpinionIndex, model: ModelSpec, tol: float) -> bool:
     have stalled near roundoff, the signature of a genuine non-clustered
     equilibrium rather than a state still drifting toward a cluster merge.
     """
-    move = _max_probe_move(index, model, mean_float, tol)
-    if move >= tol:
-        return False
-    opinions = index.opinions
+    worst = 0.0
+    for idx, x in enumerate(opinions):
+        move = abs(update(idx) - x)
+        if move >= tol:
+            return False
+        if move > worst:
+            worst = move
     groups = single_linkage_groups(opinions, tol)
     # each group comes sorted by opinion, so it spans its last minus its first
-    if _limit_class([len(g) for g in groups], model.k) != CLASS_NON_CLUSTERED and all(
+    if _limit_class([len(g) for g in groups], k) != CLASS_NON_CLUSTERED and all(
         opinions[g[-1]] - opinions[g[0]] < tol for g in groups
     ):
         return True
-    stall = max(tol * 1e-4, 4e-16)
-    return move < stall
+    return worst < max(tol * 1e-4, 4e-16)
 
 
 def _limit_class(sizes, k) -> str:
@@ -156,7 +143,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     step cap. Deterministic: identical spec -> bit-identical record."""
     validate_scenario(spec)
     opinions, backend = _build_initial(spec.initial)
-    mean = mean_float if backend == FLOAT else _mean_exact_values
+    k, tol = spec.model.k, spec.tol
     ids = list(range(1, len(opinions) + 1))
     new_ids = count(len(opinions) + 1)
 
@@ -166,8 +153,9 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     updaters = _updater_positions(spec, ids, opinions)
 
     # k-NN neighbours, the probe and the envelope all read the sorted index;
-    # positions shift on add/remove, so events rebuild it
+    # positions shift on add/remove, so events rebuild it and its update map
     index = OpinionIndex(opinions)
+    update = _update_map(index, spec.model, backend)
     record = TrajectoryRecord(name=spec.name, backend=backend)
     record.recorded_steps.append(0)
     record.snapshots.append((tuple(ids), tuple(opinions)))
@@ -180,13 +168,14 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
         if event is not None:
             _apply_event(event, ids, opinions, new_ids, backend, rng_events, record)
             index = OpinionIndex(opinions)
+            update = _update_map(index, spec.model, backend)
 
         if t >= last_event_step and t % len(ids) == 0:
             if backend == EXACT:
-                if _max_probe_move(index, spec.model, mean, 0) == 0:
+                if all(update(idx) == x for idx, x in enumerate(opinions)):
                     record.stop_reason = STOP_EQUILIBRIUM
                     break
-            elif _float_converged(index, spec.model, spec.tol):
+            elif _float_converged(update, opinions, k, tol):
                 record.stop_reason = STOP_CONVERGED
                 break
 
@@ -199,7 +188,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.stop_reason = STOP_SCHEDULE_EXHAUSTED
             break
 
-        index.move(updater_idx, _updated_value(index, updater_idx, spec.model, mean))
+        index.move(updater_idx, update(updater_idx))
         record.updaters.append(ids[updater_idx])
         record.mins.append(index.min())
         record.maxs.append(index.max())
@@ -218,9 +207,9 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
         record.recorded_steps.append(t)
         record.snapshots.append(final)
     if record.stop_reason in (STOP_CONVERGED, STOP_EQUILIBRIUM):
-        groups = single_linkage_groups(opinions, spec.tol if backend == FLOAT else 0)
+        groups = single_linkage_groups(opinions, tol if backend == FLOAT else 0)
         record.cluster_count = len(groups)
-        record.classification = _limit_class([len(g) for g in groups], spec.model.k)
+        record.classification = _limit_class([len(g) for g in groups], k)
     else:
         record.classification = CLASS_NOT_CONVERGED
     return record
@@ -297,6 +286,8 @@ def monte_carlo_consensus(
     drops below tol. Consensus for n < 2k is the claim under test; n >= 2k
     needs the explicit exploratory override."""
     _check_k(k, n)
+    if runs < 1:
+        raise ParameterError("runs must be >= 1")
     if n >= 2 * k and not allow_large_n:
         raise ParameterError(
             f"n={n} >= 2k={2 * k}: consensus is not guaranteed; "

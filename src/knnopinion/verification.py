@@ -20,7 +20,7 @@ from .convergence import (
     verify_lemma_bigm,
     verify_shrink_contraction,
 )
-from .dynamics import Configuration, ParameterError
+from .dynamics import Configuration
 from .equilibria import (
     build_example1,
     build_tie_counterexample,
@@ -149,17 +149,16 @@ def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> Ver
 
 def verify_shrink_grid(trials_per_pair: int, seed, n_max: int = 10) -> VerifierReport:
     """Exact contraction certificate for every (n, k) with n < 2k."""
-    if trials_per_pair < 1:
-        raise ParameterError("trials_per_pair must be >= 1")
     rng = SeededRng(seed).derive("shrink")
     for n in range(1, n_max + 1):
         for k in range((n // 2) + 1, n + 1):
-            for t in range(trials_per_pair):
-                config = random_exact_configuration(n, rng)
-                report = verify_shrink_contraction(config, k)
-                if not report.passed:
-                    report.detail["trial"] = t
-                    return report
+            def case():
+                report = verify_shrink_contraction(random_exact_configuration(n, rng), k)
+                return None if report.passed else report.detail
+
+            report = scan_trials("shrink_contraction", trials_per_pair, case, {})
+            if not report.passed:
+                return report
     return VerifierReport(
         name="shrink_contraction", passed=True,
         detail={"n_max": n_max, "trials_per_pair": trials_per_pair},

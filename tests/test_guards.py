@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from knnopinion.convergence import verify_lemma2_monotonicity
+from knnopinion.convergence import (verify_lemma2_monotonicity, verify_lemma3_contraction,
+                                    verify_lemma_bigm, verify_shrink_contraction)
 from knnopinion.dynamics import Configuration, ParameterError
 from knnopinion.equilibria import (FloatBackendError, build_tie_counterexample,
                                    max_cluster_count, quantize_clusters)
@@ -17,6 +18,7 @@ from knnopinion.scenario import ScenarioError, load_json
 
 F = Fraction
 TIE = Configuration([F(0), F(1), F(1, 2)])
+FLOAT_LINE = Configuration([0.0, 1.0, 2.0])
 
 
 def set_attribute(config):
@@ -51,6 +53,14 @@ GUARDS = [
      ValueError, "bound must be positive"),
     ("lemma2-without-steps", lambda _: verify_lemma2_monotonicity(TIE, 1, steps=0),
      ParameterError, "steps must be >= 1"),
+    ("float-lemma2", lambda _: verify_lemma2_monotonicity(FLOAT_LINE, 2, steps=3),
+     FloatBackendError, "verify_lemma2_monotonicity requires the exact backend"),
+    ("float-lemma3", lambda _: verify_lemma3_contraction(FLOAT_LINE, 2),
+     FloatBackendError, "verify_lemma3_contraction requires the exact backend"),
+    ("float-lemma-bigm", lambda _: verify_lemma_bigm(FLOAT_LINE, 2, steps=3),
+     FloatBackendError, "verify_lemma_bigm requires the exact backend"),
+    ("float-shrink-contraction", lambda _: verify_shrink_contraction(FLOAT_LINE, 2),
+     FloatBackendError, "verify_shrink_contraction requires the exact backend"),
     ("malformed-json", load_malformed,
      ScenarioError, "{dir}/bad.json: invalid JSON at line 2: Expecting value"),
 ]

@@ -85,6 +85,25 @@ def test_exact_probe_stops_at_the_first_agent_that_moves(monkeypatch, opinions, 
     assert calls == list(range(probes))
 
 
+@pytest.mark.parametrize("model", [ModelSpec(kind="knn", k=2), ModelSpec(kind="abc", d=0.6)],
+                         ids=["knn", "abc"])
+def test_update_map_is_bound_once_and_again_per_index_rebuild(monkeypatch, model):
+    sizes = []
+    real = harness._update_map
+
+    def counted(index, model, backend):
+        sizes.append(len(index.opinions))
+        return real(index, model, backend)
+
+    monkeypatch.setattr(harness, "_update_map", counted)
+    rec = simulate(knn_spec(model=model,
+                            initial=InitialSpec(kind="explicit", opinions=(0.0, 0.5, 1.0, 0.25)),
+                            events=(EventSpec(kind="add", step=1, opinion=0.75),
+                                    EventSpec(kind="remove", step=2, agent=1))))
+    assert [e["kind"] for e in rec.events_log] == ["add", "remove"]
+    assert sizes == [4, 5, 4]
+
+
 def test_shrink_schedule_spec_matches_library_run():
     from knnopinion.convergence import run_shrink_schedule
 

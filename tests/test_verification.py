@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from knnopinion import convergence, verification
+from knnopinion import convergence, harness, verification
 from knnopinion.dynamics import Configuration, ParameterError, knn_indices
 from knnopinion.verification import run_suite
 
@@ -95,6 +95,7 @@ BUDGETED = [
     ("check_z_le_y below 2k", lambda t: convergence.check_z_le_y(3, 2, t, 1)),
     ("check_z_le_y witness", lambda t: convergence.check_z_le_y(4, 2, t, 1)),
     ("scan_trials", lambda t: convergence.scan_trials("none", t, lambda: None, {})),
+    ("monte_carlo_consensus", lambda t: harness.monte_carlo_consensus(3, 2, runs=t, seed=1)),
 ]
 
 
