@@ -20,6 +20,7 @@ from . import __version__
 from .dynamics import ParameterError
 from .export import write_run_outputs
 from .harness import (
+    USAGE_ERRORS,
     batch_sweep,
     classify_configuration,
     figure_runs,
@@ -27,9 +28,7 @@ from .harness import (
     robustness_removal,
     simulate,
 )
-from .numerics import BackendError
 from .scenario import (
-    ScenarioError,
     _require,
     int_at_least,
     json_text,
@@ -182,7 +181,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ParameterError, BackendError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -12,11 +12,11 @@ A Configuration stores one form, `keys` over `den`: an exact state's integer
 numerators N over their least common denominator D, or a float state's
 floats with den None. Scaling by a positive D keeps every distance order and
 every exact tie, so knn_neighbors, knn_update and diameter work on the
-stored keys, and an exact state builds no Fraction for them; knn_update and
-replace write through one exact store that takes the value as a ratio p/q.
-knn_update is the exact verifiers' hot path: it reads keys and den once and
-checks the agent id inline, and the store sets its slots through their own
-descriptors.
+stored keys, and an exact state builds no Fraction for them. The exact
+knn_update is the verifiers' hot path: it reads keys and den once, checks
+the agent id inline and stores its mean as the ratio p/q, setting the slots
+through their own descriptors. replace and opinion are the literal
+definitions: replace rebuilds the configuration with one opinion changed.
 
 knn_indices is the literal rule and the oracle: one stable sort of all n
 agents by the computed distance abs(v - x_i), so equal distances stay in id
@@ -50,9 +50,7 @@ from typing import Sequence
 from .numerics import (
     EXACT,
     FLOAT,
-    BackendError,
     Scalar,
-    backend_of,
     coerce_all,
     common_numerators,
     mean_exact,
@@ -71,7 +69,7 @@ class Configuration:
     N over their least common denominator D, so gcd(D, *N) == 1 and equal
     states store equal pairs, which == and hash compare; a float state as
     its floats, with den None. `opinions` is built on first read unless
-    given to Configuration(); until then opinion(i) makes one Fraction.
+    given to Configuration().
     """
 
     __slots__ = ("keys", "den", "_opinions")
@@ -123,28 +121,18 @@ class Configuration:
 
     def opinion(self, i: int) -> Scalar:
         self._check_agent(i)
-        ops = self._opinions
-        return ops[i - 1] if ops is not None else Fraction(self.keys[i - 1], self.den)
+        return self.opinions[i - 1]
 
     def agents(self) -> range:
         return range(1, self.n + 1)
 
     def replace(self, i: int, value: Scalar) -> "Configuration":
-        # only value is checked, so the costly re-coercion of Configuration()
-        # is skipped; a plain int converts as in coerce_all
+        # value is coerced with the opinion it replaces, so a plain int
+        # follows the state's backend even when the state has one agent
         self._check_agent(i)
-        den = self.den
-        if type(value) is not (float if den is None else Fraction):
-            if isinstance(value, int) and not isinstance(value, bool):
-                value = float(value) if den is None else Fraction(value)
-            elif backend_of(value) != self.backend:
-                raise BackendError(
-                    f"cannot put a {backend_of(value)} value into a {self.backend} configuration")
-        if den is not None:
-            return self._put_ratio(i - 1, *value.as_integer_ratio())
-        keys = list(self.keys)
-        keys[i - 1] = value
-        return Configuration._from_keys(keys, den)
+        ops = list(self.opinions)
+        ops[i - 1] = coerce_all([ops[i - 1], value])[0][1]
+        return Configuration(ops)
 
     def _put_ratio(self, idx: int, p: int, q: int) -> "Configuration":
         """This exact state with position idx (0-based) set to p/q, q > 0: p/q

@@ -27,8 +27,8 @@ from .dynamics import (
 )
 from .equilibria import (build_example1, is_clustered, is_equilibrium, quantize_clusters,
                          single_linkage_groups)
-from .numerics import (EXACT, FLOAT, coerce_all, common_numerators, format_scalar,
-                       mean_exact, mean_float)
+from .numerics import (EXACT, FLOAT, BackendError, coerce_all, common_numerators,
+                       format_scalar, mean_exact, mean_float)
 from .rng import SeededRng
 from .scenario import (
     ADDITION_TOL,
@@ -53,6 +53,9 @@ CLASS_CONSENSUS = "consensus"
 CLASS_CLUSTERED = "clustered"
 CLASS_NON_CLUSTERED = "non_clustered_numerical"
 CLASS_NOT_CONVERGED = "not_converged"
+
+# what a bad document or parameter raises; any other exception is a program fault
+USAGE_ERRORS = (ScenarioError, ParameterError, BackendError)
 
 
 @dataclass
@@ -515,11 +518,11 @@ class SweepResult:
 
 def _sweep_one(spec: ScenarioSpec):
     """((classification, cluster count, stop step), None) for one scenario,
-    or (None, message) when a document or parameter error stops it; any
-    other exception is a program fault and propagates."""
+    or (None, message) when one of USAGE_ERRORS stops it; any other
+    exception propagates."""
     try:
         rec = simulate(spec)
-    except (ScenarioError, ParameterError) as exc:
+    except USAGE_ERRORS as exc:
         return None, str(exc)
     hit = None if rec.cluster_count is None else rec.total_steps
     return (rec.classification, rec.cluster_count, hit), None
@@ -554,6 +557,7 @@ def classify_configuration(config: Configuration, k: int, tol) -> dict:
     """The `classify` report of a configuration: the equilibrium report of an
     exact state, or the groups of a float state at tolerance `tol` with the
     label `simulate` gives a limit state (`_limit_class`)."""
+    _check_k(k, config.n)
     if config.backend == EXACT:
         return {"mode": "exact", "k": k, **is_equilibrium(config, k).to_jsonable()}
     part = quantize_clusters(config, tol)

@@ -529,8 +529,12 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     n0 = spec.initial.size()
     _require(n0 >= 1, "initial", "must hold at least one agent")
     if spec.model.kind == "knn":
+        _positive(spec.model.k, "model.k")
         _require(spec.model.k <= n0, "model.k",
                  f"k={spec.model.k} exceeds initial agent count n={n0}")
+    elif spec.model.kind == "abc":
+        _require(spec.model.d is not None, "model.d", "is required for the abc model")
+        _require(spec.model.d >= 0, "model.d", "must be >= 0")
     if spec.schedule.kind == "shrink":
         _require(spec.model.kind == "knn", "schedule",
                  "shrink schedule requires the knn model")

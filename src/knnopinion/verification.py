@@ -20,7 +20,7 @@ from .convergence import (
     verify_lemma_bigm,
     verify_shrink_contraction,
 )
-from .dynamics import Configuration
+from .dynamics import Configuration, ParameterError
 from .equilibria import (
     build_example1,
     build_tie_counterexample,
@@ -136,6 +136,9 @@ def _random_exact_trials(name, stream, check, trials, seed) -> VerifierReport:
 
 
 def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> VerifierReport:
+    """check_z_le_y for every (n, k) with 2 <= n <= n_max."""
+    if n_max < 2:
+        raise ParameterError("n_max must be >= 2")
     for n in range(2, n_max + 1):
         for k in range(1, n + 1):
             report = check_z_le_y(n, k, trials_per_pair, seed)
@@ -148,7 +151,9 @@ def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> Ver
 
 
 def verify_shrink_grid(trials_per_pair: int, seed, n_max: int = 10) -> VerifierReport:
-    """Exact contraction certificate for every (n, k) with n < 2k."""
+    """Exact contraction certificate for every (n, k) with n < 2k, n <= n_max."""
+    if n_max < 1:
+        raise ParameterError("n_max must be >= 1")
     rng = SeededRng(seed).derive("shrink")
     for n in range(1, n_max + 1):
         for k in range((n // 2) + 1, n + 1):

@@ -180,6 +180,23 @@ def test_replace_keeps_one_backend():
     assert (list(replaced.keys), replaced.den) == ([1, 5], 1)
 
 
+def test_replace_edge_cases():
+    # a one-agent state coerces the new value with its one opinion, so a
+    # plain int cannot flip it to the exact backend, and the other backend fails
+    assert repr(Configuration([0.5]).replace(1, 3).opinions) == "(3.0,)"
+    with pytest.raises(BackendError):
+        Configuration([F(1)]).replace(1, 0.5)
+    with pytest.raises(BackendError):
+        Configuration([0.5]).replace(1, F(1, 2))
+    # the entries not written keep the sign of their zeros
+    assert repr(Configuration([-0.0, 0.0, -0.0]).replace(2, -1).opinions) == "(-0.0, -1.0, -0.0)"
+    config = Configuration([F(1), F(2), F(3)])
+    for agent in (0, config.n + 1):
+        with pytest.raises(ParameterError, match=f"agent id {agent} out of range 1..3"):
+            config.replace(agent, F(9))
+    assert config.opinions == (F(1), F(2), F(3))
+
+
 # Differential tests of the sorted opinion index against the sort-based
 # knn_indices oracle: same neighbours, in the same order, for every agent and
 # every k, on inputs built to stress the window search.

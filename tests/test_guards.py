@@ -11,10 +11,12 @@ from knnopinion.convergence import (verify_lemma2_monotonicity, verify_lemma3_co
 from knnopinion.dynamics import Configuration, ParameterError
 from knnopinion.equilibria import (FloatBackendError, build_tie_counterexample,
                                    max_cluster_count, quantize_clusters)
-from knnopinion.harness import monte_carlo_consensus
+from knnopinion.harness import classify_configuration, monte_carlo_consensus, simulate
 from knnopinion.numerics import BackendError, backend_of
 from knnopinion.rng import SeededRng
-from knnopinion.scenario import ScenarioError, load_json
+from knnopinion.scenario import (InitialSpec, ModelSpec, ScenarioError, ScenarioSpec,
+                                 ScheduleSpec, load_json)
+from knnopinion.verification import verify_shrink_grid, verify_zy_dichotomy_grid
 
 F = Fraction
 TIE = Configuration([F(0), F(1), F(1, 2)])
@@ -23,6 +25,14 @@ FLOAT_LINE = Configuration([0.0, 1.0, 2.0])
 
 def set_attribute(config):
     config.keys = ()
+
+
+def simulate_model(**model):
+    """simulate a spec built in code, which skips the document parser."""
+    return simulate(ScenarioSpec(
+        model=ModelSpec(**model),
+        initial=InitialSpec(kind="explicit", opinions=(0.0, 0.25, 0.5, 0.75, 1.0)),
+        schedule=ScheduleSpec(kind="uniform_random", seed=0), max_steps=10))
 
 
 def load_malformed(tmp_path):
@@ -61,6 +71,21 @@ GUARDS = [
      FloatBackendError, "verify_lemma_bigm requires the exact backend"),
     ("float-shrink-contraction", lambda _: verify_shrink_contraction(FLOAT_LINE, 2),
      FloatBackendError, "verify_shrink_contraction requires the exact backend"),
+    ("spec-knn-k-zero", lambda _: simulate_model(kind="knn", k=0),
+     ScenarioError, "model.k: must be a positive integer"),
+    ("spec-knn-k-missing", lambda _: simulate_model(kind="knn", k=None),
+     ScenarioError, "model.k: must be a positive integer"),
+    ("spec-abc-d-negative", lambda _: simulate_model(kind="abc", d=-1.0),
+     ScenarioError, "model.d: must be >= 0"),
+    ("spec-abc-d-missing", lambda _: simulate_model(kind="abc", d=None),
+     ScenarioError, "model.d: is required for the abc model"),
+    ("classify-float-k-zero",
+     lambda _: classify_configuration(Configuration([0.1, 0.2]), 0, 1e-9),
+     ParameterError, "k=0 violates 1 <= k <= n=2"),
+    ("zy-grid-without-pairs", lambda _: verify_zy_dichotomy_grid(5, 0, n_max=1),
+     ParameterError, "n_max must be >= 2"),
+    ("shrink-grid-without-pairs", lambda _: verify_shrink_grid(0, 0, n_max=0),
+     ParameterError, "n_max must be >= 1"),
     ("malformed-json", load_malformed,
      ScenarioError, "{dir}/bad.json: invalid JSON at line 2: Expecting value"),
 ]

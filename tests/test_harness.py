@@ -393,6 +393,14 @@ def test_batch_sweep_collects_errors_without_aborting():
     assert result.classifications == {CLASS_CONSENSUS: 1}
 
 
+def test_batch_sweep_records_a_backend_error_by_index():
+    mixed = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, F(1, 2))))
+    good = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, 0.5, 0.5)))
+    result = batch_sweep([good, mixed])
+    assert result.to_jsonable()["errors"] == {"1": "cannot mix exact and float scalars"}
+    assert result.classifications == {CLASS_CONSENSUS: 1}
+
+
 def test_batch_sweep_lets_a_program_fault_propagate(monkeypatch):
     def faulty(spec):
         raise TypeError("a program fault")
