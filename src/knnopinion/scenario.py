@@ -26,6 +26,8 @@ Each kind of object declares its fields and defaults once, as rows
 `{key: (parse, default)}` in its spec class's FIELDS (SCENARIO_FIELDS at the
 top level, GROUP_FIELDS for a clusters group, RANDOM_OPINION_FIELDS for an
 add event's random opinion); parsing and to_dict read them in row order.
+validate_scenario gives a spec built in code a document's checks by
+re-parsing its to_dict().
 
 The CLI's other documents parse here too: parse_configuration (classify),
 parse_robustness (robustness add|remove) and parse_grid (sweep). Every
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -84,10 +86,6 @@ def int_at_least(value, least) -> bool:
     """True for an integer >= least. JSON true/false parse as Python bools,
     which are ints too, and are rejected."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _as_is(value, field_name):
-    return value
 
 
 def _string(value, field_name):
@@ -139,6 +137,12 @@ def _finite_float(raw, field_name) -> float:
     _require(number and abs(raw) <= sys.float_info.max, field_name,
              "must be a finite number")
     return float(raw)
+
+
+def _tol(raw, field_name) -> float:
+    tol = _finite_float(raw, field_name)
+    _require(tol > 0, field_name, "must be a finite positive number")
+    return tol
 
 
 def _abc_d(value, field_name):
@@ -225,13 +229,19 @@ def _json(value):
 
 
 class _Spec:
-    """The one to_dict of the spec classes: kind, then the fields of its rows."""
+    """The one to_dict of the spec classes: kind, the fields of its kind's
+    rows (an unknown kind has none), then any other field off its default,
+    which a re-parse reports as a document's unknown key."""
 
     def to_dict(self) -> dict:
-        kind = getattr(self, "kind", None)
-        out = {} if kind is None else {"kind": kind}
-        for key in self.FIELDS[kind]:
+        kind = getattr(self, "kind", None)   # a ScenarioSpec has none
+        rows = self.FIELDS.get(kind, {}) if kind is None or isinstance(kind, str) else {}
+        out = {"kind": kind} if hasattr(self, "kind") else {}
+        for key in rows:
             out[key] = _json(getattr(self, key))
+        for f in fields(self):
+            if f.name not in out and getattr(self, f.name) != f.default:
+                out[f.name] = _json(getattr(self, f.name))
         return out
 
 
@@ -335,9 +345,9 @@ SCENARIO_FIELDS = {
     "schedule": (partial(_kinded, ScheduleSpec), None),
     "events": (_events, []),
     "event_seed": (_seed, 0),
-    "max_steps": (_as_is, DEFAULT_MAX_STEPS),
-    "tol": (_finite_float, DEFAULT_TOL),
-    "record_every": (_as_is, 1),
+    "max_steps": (_step, DEFAULT_MAX_STEPS),
+    "tol": (_tol, DEFAULT_TOL),
+    "record_every": (_positive, 1),
 }
 
 
@@ -362,7 +372,7 @@ class ScenarioSpec(_Spec):
 def parse_scenario(raw: dict) -> ScenarioSpec:
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
     spec = ScenarioSpec(**_fields(raw, SCENARIO_FIELDS, "", known=()))
-    validate_scenario(spec)
+    _cross_checks(spec)
     return spec
 
 
@@ -510,31 +520,23 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
-    """Checks on the whole spec, so that fields set after parsing (a CLI
-    override, a library caller) are checked too: value ranges, the k <= n
-    constraint at every point of the event timeline, event steps that
-    strictly increase (a run applies one event per step) and that the run
-    reaches, additions an exact run can hold exactly (an integer or "p/q"),
-    and removal ids that exist when the event fires. Added agents
-    get ids n+1, n+2, ... in event order; ids are never reused within a run."""
-    _require(int_at_least(spec.max_steps, 0), "max_steps",
-             "must be a nonnegative integer")
-    _require(int_at_least(spec.record_every, 1), "record_every",
-             "must be a positive integer")
-    _require(math.isfinite(spec.tol) and spec.tol > 0, "tol",
-             "must be a finite positive number")
+    """A spec built or changed in code (a CLI override, a library caller)
+    gets exactly a document's checks and messages."""
+    parse_scenario(spec.to_dict())
+
+
+def _cross_checks(spec: ScenarioSpec) -> None:
+    """The rules that tie fields together: initial low <= high, k <= n, shrink
+    needs knn, and the timeline. Event steps strictly increase (one event per
+    step) up to max_steps; an exact run adds only integers and "p/q"; a removal
+    names a present agent, not the last, and keeps k <= n. Added agents get ids
+    n+1, n+2, ... in event order; ids are never reused within a run."""
     if spec.initial.kind == "uniform_random":
         _require(spec.initial.low <= spec.initial.high, "initial.low",
                  "must not exceed initial.high")
     n0 = spec.initial.size()
-    _require(n0 >= 1, "initial", "must hold at least one agent")
-    if spec.model.kind == "knn":
-        _positive(spec.model.k, "model.k")
-        _require(spec.model.k <= n0, "model.k",
-                 f"k={spec.model.k} exceeds initial agent count n={n0}")
-    elif spec.model.kind == "abc":
-        _require(spec.model.d is not None, "model.d", "is required for the abc model")
-        _require(spec.model.d >= 0, "model.d", "must be >= 0")
+    k = spec.model.k if spec.model.kind == "knn" else 1   # ABC: 1 <= n holds throughout
+    _require(k <= n0, "model.k", f"k={k} exceeds initial agent count n={n0}")
     if spec.schedule.kind == "shrink":
         _require(spec.model.kind == "knn", "schedule",
                  "shrink schedule requires the knn model")
@@ -549,9 +551,6 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _require(event.step <= spec.max_steps, f"events[{pos}].step",
                  f"step {event.step} is past max_steps={spec.max_steps}; it would never fire")
         if event.kind == "add":
-            if isinstance(event.opinion, tuple):
-                _require(event.opinion[1] <= event.opinion[2], f"events[{pos}].opinion.low",
-                         "must not exceed opinion.high")
             if isinstance(event.opinion, (tuple, float)):
                 backend = backend or spec.initial.backend()
                 _require(backend == FLOAT, f"events[{pos}].opinion",
@@ -563,6 +562,4 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                      f"agent {event.agent} not present at step {event.step}")
             ids.remove(event.agent)
             _require(len(ids) >= 1, f"events[{pos}]", "cannot remove the last agent")
-            if spec.model.kind == "knn":
-                _require(spec.model.k <= len(ids), f"events[{pos}]",
-                         f"removal leaves fewer than k={spec.model.k} agents")
+            _require(k <= len(ids), f"events[{pos}]", f"removal leaves fewer than k={k} agents")

@@ -8,7 +8,7 @@ import pytest
 
 from knnopinion.convergence import (verify_lemma2_monotonicity, verify_lemma3_contraction,
                                     verify_lemma_bigm, verify_shrink_contraction)
-from knnopinion.dynamics import Configuration, ParameterError
+from knnopinion.dynamics import Configuration, ParameterError, knn_update
 from knnopinion.equilibria import (FloatBackendError, build_tie_counterexample,
                                    max_cluster_count, quantize_clusters)
 from knnopinion.harness import classify_configuration, monte_carlo_consensus, simulate
@@ -86,6 +86,14 @@ GUARDS = [
      ParameterError, "n_max must be >= 2"),
     ("shrink-grid-without-pairs", lambda _: verify_shrink_grid(0, 0, n_max=0),
      ParameterError, "n_max must be >= 1"),
+    ("knn-update-id-zero-exact", lambda _: knn_update(TIE, 0, 2),
+     ParameterError, "agent id 0 out of range 1..3"),
+    ("knn-update-id-above-n-exact", lambda _: knn_update(TIE, 4, 2),
+     ParameterError, "agent id 4 out of range 1..3"),
+    ("knn-update-id-zero-float", lambda _: knn_update(FLOAT_LINE, 0, 2),
+     ParameterError, "agent id 0 out of range 1..3"),
+    ("knn-update-id-above-n-float", lambda _: knn_update(FLOAT_LINE, 4, 2),
+     ParameterError, "agent id 4 out of range 1..3"),
     ("malformed-json", load_malformed,
      ScenarioError, "{dir}/bad.json: invalid JSON at line 2: Expecting value"),
 ]

@@ -1,4 +1,6 @@
+import math
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -248,6 +250,84 @@ def test_every_validated_timeline_runs(spec):
     assert len(rec.events_log) == len(spec.events)
 
 
+# the values a field is set to; "bogus" doubles as an unknown kind
+MUTATIONS = (None, -1, 0, True, "x", math.nan, 2.5, (), "bogus")
+
+
+@st.composite
+def specs_changed_in_code(draw):
+    """An event timeline, perhaps with another initial or schedule kind, with
+    one field (at the top level or inside model, initial, schedule or one
+    event) set by dataclasses.replace to a value from MUTATIONS."""
+    spec = draw(event_timelines())
+    n0 = spec.initial.size()
+    spec = replace(
+        spec,
+        initial=draw(st.sampled_from([
+            spec.initial, InitialSpec(kind="uniform_random", n=n0, seed=0),
+            InitialSpec(kind="clusters", groups=((spec.initial.opinions[0], n0),))])),
+        schedule=draw(st.sampled_from([
+            spec.schedule, ScheduleSpec(kind="explicit", agents=(1, 1, 2)),
+            ScheduleSpec(kind="shrink")])))
+    where = draw(st.sampled_from([None, "model", "initial", "schedule",
+                                  *range(len(spec.events))]))
+    part = spec if where is None else (
+        spec.events[where] if isinstance(where, int) else getattr(spec, where))
+    name = draw(st.sampled_from([f.name for f in fields(part)]))
+    part = replace(part, **{name: draw(st.sampled_from(MUTATIONS))})
+    if where is None:
+        return part
+    if isinstance(where, int):
+        return replace(spec, events=spec.events[:where] + (part,) + spec.events[where + 1:])
+    return replace(spec, **{where: part})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(specs_changed_in_code())
+def test_a_spec_changed_in_code_runs_or_raises_a_scenario_error(spec):
+    """validate_scenario re-parses the spec, so a value no document could
+    hold is a ScenarioError, never another exception inside the run."""
+    try:
+        rec = simulate(spec)
+    except ScenarioError:
+        return
+    assert rec.total_steps <= spec.max_steps
+
+
+BUILT_IN_CODE = [   # (spec, the message of the same document)
+    (knn_spec(schedule=ScheduleSpec(kind="bogus")),
+     "schedule.kind: must be uniform_random, explicit or shrink"),
+    (knn_spec(initial=InitialSpec(kind="bogus")),
+     "initial.kind: must be uniform_random, explicit or clusters"),
+    (knn_spec(model=ModelSpec(kind="bogus")), "model.kind: must be 'knn' or 'abc'"),
+    (knn_spec(initial=InitialSpec(kind="explicit", opinions=None)),
+     "initial.opinions: must be a non-empty list"),
+    (knn_spec(schedule=ScheduleSpec(kind="explicit", agents=None)),
+     "schedule.agents: must be a list"),
+    (knn_spec(events=None), "events: must be a list"),
+    (knn_spec(events=(EventSpec(kind="add", step=1, opinion="abc"),)),
+     "events[0].opinion: 'abc' is not an integer or 'p/q' rational"),
+    (knn_spec(initial=InitialSpec(kind="clusters", groups=((0.1, 0), (0.5, 3)))),
+     "initial.groups[0].size: must be a positive integer"),
+    (knn_spec(schedule=ScheduleSpec(kind="uniform_random", seed=None)),
+     "schedule.seed: must be an integer or a string"),
+    (knn_spec(name=3), "name: must be a string"),
+    (knn_spec(event_seed=1.5), "event_seed: must be an integer or a string"),
+    (knn_spec(events=(EventSpec(kind="bogus", step=1),)),
+     "events[0].kind: must be 'add' or 'remove'"),
+    (knn_spec(model=ModelSpec(kind="abc", d=0.5, k="x")), "model.k: is not a known field"),
+    (knn_spec(tol=math.nan), "tol: must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BUILT_IN_CODE,
+                         ids=[message.split(":")[0] for _, message in BUILT_IN_CODE])
+def test_a_spec_built_in_code_gets_the_parser_message(spec, message):
+    with pytest.raises(ScenarioError) as info:
+        simulate(spec)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("initial", [
     InitialSpec(kind="uniform_random", n=0, seed=0),
     InitialSpec(kind="explicit", opinions=()),
@@ -258,7 +338,9 @@ def test_an_initial_state_without_agents_is_rejected(initial):
                         schedule=ScheduleSpec(kind="uniform_random", seed=0))
     with pytest.raises(ScenarioError) as info:
         simulate(spec)
-    assert str(info.value) == "initial: must hold at least one agent"
+    assert str(info.value) == {"uniform_random": "initial.n: must be a positive integer",
+                               "explicit": "initial.opinions: must be a non-empty list",
+                               "clusters": "initial.groups: must be a non-empty list"}[initial.kind]
 
 
 def test_event_steps_must_increase():
@@ -397,7 +479,8 @@ def test_batch_sweep_records_a_backend_error_by_index():
     mixed = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, F(1, 2))))
     good = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, 0.5, 0.5)))
     result = batch_sweep([good, mixed])
-    assert result.to_jsonable()["errors"] == {"1": "cannot mix exact and float scalars"}
+    assert result.to_jsonable()["errors"] == {
+        "1": "initial.opinions: cannot mix exact and float scalars"}
     assert result.classifications == {CLASS_CONSENSUS: 1}
 
 
