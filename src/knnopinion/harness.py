@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import count, cycle
+from itertools import chain, count, cycle, islice
 from typing import Optional
 
 from .convergence import MU, ShrinkSchedule
@@ -91,18 +91,39 @@ def _build_initial(spec: InitialSpec):
 def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
     """The run's update map, idx -> agent idx's new opinion: the typed mean
     of its neighbours under `model`. It holds `index`, so a rebuilt index
-    needs a new map."""
+    needs a new map. A float map returns the literal mean's object with less
+    work: when k pairs hold x = opinions[idx], its neighbours are the first k
+    of them by position and mean_float returns the first, pairs[a][0] (equal
+    values, 0.0 and -0.0 too, sort by position); ABC reads abc_indices'
+    opinions in one pass."""
     opinions = index.opinions
-    mean = (mean_float if backend == FLOAT
-            else lambda values: mean_exact(*common_numerators(values)))
-    if model.kind == "knn":
-        knn, k = index.knn, model.k
-        return lambda idx: mean([opinions[j] for j in knn(idx, k)])
-    d = model.d
-    return lambda idx: mean([opinions[j] for j in abc_indices(opinions, idx, d)])
+    if backend == EXACT:
+        mean = lambda values: mean_exact(*common_numerators(values))
+        if model.kind == "knn":
+            knn, k = index.knn, model.k
+            return lambda idx: mean([opinions[j] for j in knn(idx, k)])
+        d = model.d
+        return lambda idx: mean([opinions[j] for j in abc_indices(opinions, idx, d)])
+    if model.kind == "abc":
+        d = model.d
+
+        def update(idx):
+            x = opinions[idx]
+            return mean_float([v for v in opinions if abs(v - x) <= d])
+        return update
+    knn, k, pairs = index.knn, model.k, index.pairs
+    last = len(pairs) - k   # the highest a with k pairs from a on
+
+    def update(idx):
+        x = opinions[idx]
+        a = bisect_left(pairs, (x,))
+        if a <= last and pairs[a + k - 1][0] == x:
+            return pairs[a][0]
+        return mean_float([opinions[j] for j in knn(idx, k)])
+    return update
 
 
-def _float_converged(update, opinions: list, k, tol: float) -> bool:
+def _float_converged(update, opinions: list, k, tol: float, start: list) -> bool:
     """Two-stage stop rule for float runs, with `update` the run's update
     map and `k` its k-NN k (None under ABC).
 
@@ -112,11 +133,17 @@ def _float_converged(update, opinions: list, k, tol: float) -> bool:
     limit by _limit_class and each spans less than tol, or (b) probe moves
     have stalled near roundoff, the signature of a genuine non-clustered
     equilibrium rather than a state still drifting toward a cluster merge.
+
+    The sweep starts at start[0], where the run's previous probe found a
+    move >= tol, and wraps around; the answer does not depend on the order.
+    Probes run after the run's last event, so positions stay put between them.
     """
     worst = 0.0
-    for idx, x in enumerate(opinions):
-        move = abs(update(idx) - x)
+    first = start[0]
+    for idx in chain(range(first, len(opinions)), range(first)):
+        move = abs(update(idx) - opinions[idx])
         if move >= tol:
+            start[0] = idx
             return False
         if move > worst:
             worst = move
@@ -143,42 +170,48 @@ def _limit_class(sizes, k) -> str:
 
 def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     """Run one scenario to convergence, equilibrium, schedule end or the
-    step cap. Deterministic: identical spec -> bit-identical record."""
+    step cap. Deterministic: identical spec -> bit-identical record. Steps
+    run in blocks up to the next multiple of n, event step or max_steps, the
+    only steps where an event, probe or the cap can act."""
     validate_scenario(spec)
     opinions, backend = _build_initial(spec.initial)
-    k, tol = spec.model.k, spec.tol
+    k, tol, record_every = spec.model.k, spec.tol, spec.record_every
     ids = list(range(1, len(opinions) + 1))
     new_ids = count(len(opinions) + 1)
 
-    events_by_step = {e.step: e for e in spec.events}
-    last_event_step = max(events_by_step, default=-1)
+    events = iter(spec.events)   # steps strictly increase
+    event = next(events, None)
+    last_event_step = spec.events[-1].step if spec.events else -1
     rng_events = SeededRng(spec.event_seed).derive("events")
-    updaters = _updater_positions(spec, ids, opinions)
+    take = _updater_positions(spec, ids, opinions)
+    probe_start = [0]
 
     # k-NN neighbours, the probe and the envelope all read the sorted index;
     # positions shift on add/remove, so events rebuild it and its update map
     index = OpinionIndex(opinions)
     update = _update_map(index, spec.model, backend)
     record = TrajectoryRecord(name=spec.name, backend=backend)
+    updaters, mins, maxs = record.updaters, record.mins, record.maxs
     record.recorded_steps.append(0)
     record.snapshots.append((tuple(ids), tuple(opinions)))
-    record.mins.append(index.min())
-    record.maxs.append(index.max())
+    mins.append(index.min())
+    maxs.append(index.max())
 
     t = 0
     while True:
-        event = events_by_step.get(t)
-        if event is not None:
+        if event is not None and event.step == t:
             _apply_event(event, ids, opinions, new_ids, backend, rng_events, record)
+            event = next(events, None)
             index = OpinionIndex(opinions)
             update = _update_map(index, spec.model, backend)
 
-        if t >= last_event_step and t % len(ids) == 0:
+        n = len(ids)
+        if t >= last_event_step and t % n == 0:
             if backend == EXACT:
                 if all(update(idx) == x for idx, x in enumerate(opinions)):
                     record.stop_reason = STOP_EQUILIBRIUM
                     break
-            elif _float_converged(update, opinions, k, tol):
+            elif _float_converged(update, opinions, k, tol, probe_start):
                 record.stop_reason = STOP_CONVERGED
                 break
 
@@ -186,24 +219,26 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
             record.stop_reason = STOP_MAX_STEPS
             break
 
-        updater_idx = next(updaters, None)
-        if updater_idx is None:
+        end = min(t - t % n + n, spec.max_steps, event.step if event is not None else t + n)
+        move, pairs = index.move, index.pairs
+        for pos in take(end - t):
+            move(pos, update(pos))
+            updaters.append(ids[pos])
+            # index.min() and index.max(), read without two calls per step
+            mins.append(pairs[0][0])
+            maxs.append(pairs[bisect_left(pairs, (pairs[-1][0],))][0])
+            t += 1
+            if t % record_every == 0:
+                record.recorded_steps.append(t)
+                record.snapshots.append((tuple(ids), tuple(opinions)))
+        if t < end:
             record.stop_reason = STOP_SCHEDULE_EXHAUSTED
             break
-
-        index.move(updater_idx, update(updater_idx))
-        record.updaters.append(ids[updater_idx])
-        record.mins.append(index.min())
-        record.maxs.append(index.max())
-        t += 1
-        if t % spec.record_every == 0:
-            record.recorded_steps.append(t)
-            record.snapshots.append((tuple(ids), tuple(opinions)))
 
     # the record ends with the final state, events of the stop step included
     record.total_steps = t
     final = record.final_ids, record.final_opinions = tuple(ids), tuple(opinions)
-    record.mins[-1], record.maxs[-1] = index.min(), index.max()
+    mins[-1], maxs[-1] = index.min(), index.max()
     if record.recorded_steps[-1] == t:
         record.snapshots[-1] = final
     else:
@@ -238,24 +273,31 @@ def _apply_event(event, ids, opinions, new_ids, backend, rng_events, record):
 
 
 def _updater_positions(spec: ScenarioSpec, ids: list, opinions: list):
-    """Each step's updater position under the spec's schedule, read from the
-    run's live `ids` and `opinions`; ends when the schedule runs out."""
+    """The schedule as a block source: take(count) -> the updater positions
+    of the next `count` steps, fewer when it runs out, read from the run's
+    live `ids` and `opinions`. A uniform block is one randbelow_many call
+    (randbelow's getrandbits calls); explicit and shrink blocks are lazy, so
+    a shrink step reads the state its previous step left."""
     schedule = spec.schedule
     if schedule.kind == "uniform_random":
         rng = SeededRng(schedule.seed).derive("schedule")
-        while True:
-            yield rng.randbelow(len(ids))
-    elif schedule.kind == "explicit":
-        for t, agent in enumerate(schedule.agents):
-            pos = bisect_left(ids, agent)
-            if pos >= len(ids) or ids[pos] != agent:
-                raise ScenarioError(f"schedule: agent {agent} not present at step {t}")
-            yield pos
+        return lambda count: rng.randbelow_many(len(ids), count)
+    if schedule.kind == "explicit":
+        positions = _explicit_positions(schedule.agents, ids)
     else:
         # shrink: repeat the 2k-2 tag pattern (empty at k=1), recomputing the
         # extremal agent from the current state at every step
-        for tag in cycle(ShrinkSchedule(spec.model.k).steps):
-            yield opinions.index((min if tag == MU else max)(opinions))
+        positions = (opinions.index((min if tag == MU else max)(opinions))
+                     for tag in cycle(ShrinkSchedule(spec.model.k).steps))
+    return lambda count: islice(positions, count)
+
+
+def _explicit_positions(agents, ids: list):
+    for t, agent in enumerate(agents):
+        pos = bisect_left(ids, agent)
+        if pos >= len(ids) or ids[pos] != agent:
+            raise ScenarioError(f"schedule: agent {agent} not present at step {t}")
+        yield pos
 
 
 @dataclass

@@ -223,8 +223,9 @@ def _json(value):
         return value
     if value[:1] == ("uniform_random",):   # a list slice never equals a tuple
         return dict(zip(("kind", *RANDOM_OPINION_FIELDS), value))
-    if value and isinstance(value[0], tuple):   # clusters groups
-        return [dict(zip(GROUP_FIELDS, map(_json, group))) for group in value]
+    if value and isinstance(value[0], (tuple, dict)):   # clusters groups; _same_shape names a dict
+        return [dict(zip(GROUP_FIELDS, map(_json, g))) if isinstance(g, tuple) else g
+                for g in value]
     return list(map(_json, value))
 
 
@@ -521,8 +522,27 @@ def load_scenario(path) -> ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """A spec built or changed in code (a CLI override, a library caller)
-    gets exactly a document's checks and messages."""
-    parse_scenario(spec.to_dict())
+    gets exactly a document's checks and messages, and must hold a spec or
+    tuple wherever its re-parse does: a document-shaped dict in its place
+    passes the re-parse but cannot run."""
+    _same_shape(spec, parse_scenario(spec.to_dict()), "")
+
+
+def _same_shape(given, parsed, where) -> None:
+    """`given` holds a spec of the same class wherever `parsed` does, and a
+    tuple or list wherever it holds a tuple; errors name the field."""
+    if isinstance(parsed, _Spec):
+        _require(isinstance(given, type(parsed)), where,
+                 f"must be {type(parsed).__name__}, not {type(given).__name__}")
+        for f in fields(parsed):
+            _same_shape(getattr(given, f.name), getattr(parsed, f.name),
+                        f"{where}.{f.name}" if where else f.name)
+    elif isinstance(parsed, tuple):
+        _require(isinstance(given, (tuple, list)), where,
+                 f"must be tuple, not {type(given).__name__}")
+        if parsed and isinstance(parsed[0], (_Spec, tuple)):   # events, groups
+            for i, (g, p) in enumerate(zip(given, parsed)):
+                _same_shape(g, p, f"{where}[{i}]")
 
 
 def _cross_checks(spec: ScenarioSpec) -> None:

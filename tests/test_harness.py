@@ -106,6 +106,26 @@ def test_update_map_is_bound_once_and_again_per_index_rebuild(monkeypatch, model
     assert sizes == [4, 5, 4]
 
 
+def test_a_seeded_knn_run_stops_at_its_pinned_step_with_its_pinned_update_count(monkeypatch):
+    # 1880 steps make 1880 calls; the probes make the other 240, each starting
+    # where the run's previous probe found a move >= tol
+    calls = []
+    real = harness._update_map
+
+    def counted(index, model, backend):
+        update = real(index, model, backend)
+        return lambda idx: calls.append(idx) or update(idx)
+
+    monkeypatch.setattr(harness, "_update_map", counted)
+    rec = simulate(parse_scenario({
+        "model": {"kind": "knn", "k": 5},
+        "initial": {"kind": "uniform_random", "n": 20, "seed": 0},
+        "schedule": {"kind": "uniform_random", "seed": 0},
+        "tol": 1e-9, "record_every": 100000,
+    }))
+    assert (rec.stop_reason, rec.total_steps, len(calls)) == (STOP_CONVERGED, 1880, 2120)
+
+
 def test_shrink_schedule_spec_matches_library_run():
     from knnopinion.convergence import run_shrink_schedule
 
@@ -328,6 +348,39 @@ def test_a_spec_built_in_code_gets_the_parser_message(spec, message):
     assert str(info.value) == message
 
 
+DOCUMENT_SHAPED = [   # (spec holding a document's dict where a spec or tuple belongs, message)
+    (knn_spec(model={"kind": "knn", "k": 2}), "model: must be ModelSpec, not dict"),
+    (knn_spec(initial={"kind": "explicit", "opinions": [0.0, 0.5, 1.0]}),
+     "initial: must be InitialSpec, not dict"),
+    (knn_spec(schedule={"kind": "uniform_random", "seed": 1}),
+     "schedule: must be ScheduleSpec, not dict"),
+    (knn_spec(events=({"kind": "add", "step": 1, "opinion": 0.5},)),
+     "events[0]: must be EventSpec, not dict"),
+    (knn_spec(events=[EventSpec(kind="add", step=1, opinion=0.5),
+                      {"kind": "remove", "step": 2, "agent": 1}]),
+     "events[1]: must be EventSpec, not dict"),
+    (knn_spec(events=(EventSpec(kind="add", step=1,
+                                opinion={"kind": "uniform_random", "low": 0.0, "high": 1.0}),)),
+     "events[0].opinion: must be tuple, not dict"),
+    (knn_spec(initial=InitialSpec(kind="clusters", groups=({"opinion": 0.5, "size": 3},))),
+     "initial.groups[0]: must be tuple, not dict"),
+    (knn_spec(initial=InitialSpec(kind="clusters",
+                                  groups=((0.1, 2), {"opinion": 0.5, "size": 3}))),
+     "initial.groups[1]: must be tuple, not dict"),
+    (knn_spec(initial=InitialSpec(kind="clusters",
+                                  groups=({"opinion": 0.5, "size": 3}, (0.1, 2)))),
+     "initial.groups[0]: must be tuple, not dict"),
+]
+
+
+@pytest.mark.parametrize("spec, message", DOCUMENT_SHAPED,
+                         ids=[message.split(":")[0] for _, message in DOCUMENT_SHAPED])
+def test_a_document_shaped_dict_in_a_spec_is_a_scenario_error(spec, message):
+    with pytest.raises(ScenarioError) as info:
+        simulate(spec)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("initial", [
     InitialSpec(kind="uniform_random", n=0, seed=0),
     InitialSpec(kind="explicit", opinions=()),
@@ -376,6 +429,17 @@ def test_monte_carlo_two_agents():
     stats = monte_carlo_consensus(2, 2, runs=10, seed=4, max_steps=10**5)
     assert stats.all_converged
     assert stats.hull_violations == 0
+
+
+def test_monte_carlo_counts_a_consensus_outside_the_initial_hull(monkeypatch):
+    # a faulty engine whose envelope collapses onto 5.0, outside [0, 1]
+    def escaped(spec):
+        return harness.TrajectoryRecord(name=spec.name, backend="float",
+                                        mins=[0.0, 0.5, 5.0], maxs=[1.0, 0.9, 5.0])
+
+    monkeypatch.setattr(harness, "simulate", escaped)
+    stats = monte_carlo_consensus(2, 2, runs=1, seed=0)
+    assert (stats.hitting_times, stats.consensus_values, stats.hull_violations) == ([2], [5.0], 1)
 
 
 def test_monte_carlo_hit_is_first_step_below_tol():

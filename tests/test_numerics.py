@@ -35,6 +35,7 @@ def test_parse_and_format_round_trip():
     assert parse_scalar(3) == F(3)
     assert parse_scalar(0.25) == 0.25
     assert format_scalar(0.1) == "0.10000000000000001"
+    assert format_scalar(3) == "3/1"
 
 
 @given(st.lists(st.fractions(), min_size=1, max_size=8), st.integers(1, 6))

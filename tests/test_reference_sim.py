@@ -8,7 +8,7 @@ at 1.0). Every field of the two records must agree bit for bit, the sign
 of zero included.
 """
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from knnopinion.dynamics import Configuration
@@ -103,9 +103,28 @@ def run(simulator, spec):
     return {name: bits(getattr(record, name)) for name in FIELDS}
 
 
+def explicit_doc(model, opinions, schedule, max_steps=300, events=()):
+    return {"model": model, "initial": {"kind": "explicit", "opinions": opinions},
+            "schedule": schedule, "events": list(events), "event_seed": 4,
+            "max_steps": max_steps, "tol": 1e-9, "record_every": 3}
+
+
+# steps run in blocks that end at the next multiple of n, event step or
+# max_steps; these runs end blocks at each of them, and mid-block
+FIVE = [0.0, 0.2, 0.45, 0.7, 1.0]
+KNN2, UNIFORM = {"kind": "knn", "k": 2}, {"kind": "uniform_random", "seed": 3}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(documents())
+@example(explicit_doc(KNN2, FIVE, UNIFORM, events=[{"kind": "add", "step": 3, "opinion": 0.3},
+                                                   {"kind": "remove", "step": 8, "agent": 2}]))
+@example(explicit_doc(KNN2, FIVE, {"kind": "explicit", "agents": [1, 5, 2, 4, 3, 1, 5]}))
+@example(explicit_doc(KNN2, FIVE, UNIFORM, max_steps=13))
+@example(explicit_doc({"kind": "knn", "k": 3}, FIVE, {"kind": "shrink"}, max_steps=17))
+@example(explicit_doc({"kind": "abc", "d": 0.3}, FIVE, UNIFORM,
+                      events=[{"kind": "add", "step": 7, "opinion": {"kind": "uniform_random"}}]))
 def test_simulate_matches_the_reference_simulator(doc):
     try:
         spec = parse_scenario(doc)

@@ -1,0 +1,108 @@
+"""The float update map's two shortcuts against the literal rules.
+
+`harness._update_map` returns a homogeneous k-NN neighbourhood's first
+opinion without a neighbour walk, and reads the ABC neighbours in one pass
+over the opinions. Both must give the bits of the literal mean over
+`knn_indices` and `abc_indices`, the sign of zero included. Opinions come
+from a pool with exact ties, signed zeros and a rounding-collapsed near-tie
+(from 1.0, both 0.0 and 2**-60 are at 1.0).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from knnopinion.dynamics import OpinionIndex, abc_indices, knn_indices
+from knnopinion.harness import _update_map
+from knnopinion.numerics import FLOAT, mean_float
+from knnopinion.scenario import ModelSpec
+
+POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 2.0, 0.1, 2.0 ** -60, 2.0 ** -59]
+DISTANCES = [0.0, 0.25, 0.5, 1.0, 0.1, Fraction(1, 4)]
+
+
+@st.composite
+def states(draw):
+    opinions = draw(st.lists(st.sampled_from(POOL) | st.floats(-2, 2, allow_subnormal=False),
+                             min_size=1, max_size=12))
+    n = len(opinions)
+    return opinions, draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+
+
+def updated(opinions, idx, model):
+    return _update_map(OpinionIndex(list(opinions)), model, FLOAT)(idx)
+
+
+KNN_CASES = [   # (opinions, idx, k, whether the neighbour walk is skipped)
+    ([0.5, 0.5, 0.1, 0.9], 0, 3, False),        # a run of k-1 equal values
+    ([0.5, 0.5, 0.5, 0.1, 0.9], 1, 3, True),    # a run of k
+    ([0.1, 0.5, 0.5, 0.5, 0.5], 4, 3, True),    # a run of k+1
+    ([-0.0, 1.0, 0.0, 0.0], 2, 3, True),        # the lowest position holds -0.0
+    ([0.0, -0.0, -0.0, 1.0], 2, 2, True),       # ... and 0.0
+    ([0.3, -0.0, 0.0], 2, 1, True),             # k = 1
+    ([0.25, 0.25, 0.25], 1, 3, True),           # k = n, homogeneous
+    ([0.25, 0.5, 0.25], 0, 3, False),           # k = n, mixed
+    ([1.0, 0.0, 2.0 ** -60, 2.0], 0, 2, False),  # 0.0 and 2**-60 both at 1.0 from 1.0
+    ([2.0 ** -60, 1.0, 0.0, 2.0, 1.0], 1, 3, False),
+]
+KNN_EXAMPLES = [case[:3] for case in KNN_CASES]
+
+
+def with_examples(cases):
+    """Each case as a hypothesis @example of the one-argument test."""
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return apply
+
+
+@with_examples(KNN_EXAMPLES)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(states())
+def test_float_knn_map_returns_the_literal_mean(state):
+    opinions, idx, k = state
+    got = updated(opinions, idx, ModelSpec(kind="knn", k=k))
+    want = mean_float([opinions[j] for j in knn_indices(opinions, idx, k)])
+    assert got.hex() == want.hex()
+
+
+@st.composite
+def abc_states(draw):
+    opinions, idx, _ = draw(states())
+    return opinions, idx, draw(st.sampled_from(DISTANCES))
+
+
+ABC_EXAMPLES = [   # (opinions, idx, d)
+    ([0.0, 0.25, 0.5, 0.75], 1, 0.25),         # both neighbours exactly d away
+    ([0.0, 0.25, 0.5, 0.75], 1, Fraction(1, 4)),
+    ([1.0, 0.0, 2.0 ** -60, 2.0], 0, 1.0),     # the collapsed near-tie is within d
+    ([-0.0, 0.0, 0.5], 1, 0.0),               # d = 0 keeps both signed zeros
+]
+
+
+@with_examples(ABC_EXAMPLES)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(abc_states())
+def test_float_abc_map_returns_the_literal_mean(state):
+    opinions, idx, d = state
+    got = updated(opinions, idx, ModelSpec(kind="abc", d=d))
+    want = mean_float([opinions[j] for j in abc_indices(opinions, idx, d)])
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("opinions, idx, k, shortcut", KNN_CASES)
+def test_a_homogeneous_neighbourhood_skips_the_neighbour_walk(monkeypatch, opinions, idx, k,
+                                                              shortcut):
+    calls = []
+    knn = OpinionIndex.knn
+
+    def counted(index, idx, k):
+        calls.append(idx)
+        return knn(index, idx, k)
+
+    monkeypatch.setattr(OpinionIndex, "knn", counted)
+    updated(opinions, idx, ModelSpec(kind="knn", k=k))
+    assert calls == ([] if shortcut else [idx])
