@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import os
 import sys
 
 from . import __version__
-from .dynamics import ParameterError
 from .export import write_run_outputs
 from .harness import (
     USAGE_ERRORS,
@@ -29,8 +27,11 @@ from .harness import (
     simulate,
 )
 from .scenario import (
+    DEFAULT_TOL,
+    _positive,
     _require,
-    int_at_least,
+    _step,
+    _tol,
     json_text,
     load_json,
     load_scenario,
@@ -70,17 +71,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ParameterError("--tol: must be a finite positive number")
+    tol = _tol(args.tol, "--tol")
     config = parse_configuration(load_json(args.config))
     _require(1 <= args.k <= config.n, "--k", f"must be between 1 and n={config.n}")
-    _write_json(classify_configuration(config, args.k, args.tol), args.out)
+    _write_json(classify_configuration(config, args.k, tol), args.out)
     return EXIT_OK
 
 
 def cmd_verify_lemmas(args) -> int:
-    _require(int_at_least(args.trials, 1), "--trials", "must be a positive integer")
-    suite = run_suite(args.seed, trials=args.trials)
+    suite = run_suite(args.seed, trials=_positive(args.trials, "--trials"))
     _write_json(suite.to_jsonable(), args.out)
     for report in suite.reports:
         status = "pass" if report.passed else "FAIL"
@@ -96,8 +95,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(int_at_least(args.jobs, 1), "--jobs", "must be a positive integer")
-    result = batch_sweep(parse_grid(load_json(args.grid)), jobs=args.jobs)
+    jobs = _positive(args.jobs, "--jobs")
+    result = batch_sweep(parse_grid(load_json(args.grid)), jobs=jobs)
     _write_json(result.to_jsonable(), args.out)
     for i, msg in result.errors.items():
         print(f"error: [{i}].{msg}", file=sys.stderr)
@@ -105,9 +104,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    _require(int_at_least(args.seed_range, 1), "--seed-range", "must be a positive integer")
-    _require(int_at_least(args.max_steps, 0), "--max-steps", "must be a nonnegative integer")
-    runs, notes = figure_runs(args.seed_range, args.max_steps, args.addition_seed)
+    runs, notes = figure_runs(_positive(args.seed_range, "--seed-range"),
+                              _step(args.max_steps, "--max-steps"), args.addition_seed)
     os.makedirs(args.out, exist_ok=True)
     for stem, spec, record in runs:
         prefix = os.path.join(args.out, stem)
@@ -142,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     # 1e-9 sits well above the roundoff accumulated over ~1e5 averaging
     # steps and well below the inter-cluster gaps seen at n=20
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 

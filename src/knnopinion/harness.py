@@ -22,7 +22,6 @@ from .dynamics import (
     OpinionIndex,
     ParameterError,
     _check_k,
-    abc_indices,
     abc_update,
 )
 from .equilibria import (build_example1, is_clustered, is_equilibrium, quantize_clusters,
@@ -89,27 +88,21 @@ def _build_initial(spec: InitialSpec):
 
 
 def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
-    """The run's update map, idx -> agent idx's new opinion: the typed mean
-    of its neighbours under `model`. It holds `index`, so a rebuilt index
-    needs a new map. A float map returns the literal mean's object with less
-    work: when k pairs hold x = opinions[idx], its neighbours are the first k
-    of them by position and mean_float returns the first, pairs[a][0] (equal
-    values, 0.0 and -0.0 too, sort by position); ABC reads abc_indices'
-    opinions in one pass."""
+    """The run's update map, idx -> agent idx's new opinion: the mean of its
+    neighbours under `model`. The backend picks only the mean; each model has
+    one rule. It holds `index`, so a rebuilt index needs a new map. When k
+    pairs hold x = opinions[idx], the k-NN neighbours are the first k of them
+    by position, and the map returns the first, pairs[a][0]: mean_float's
+    object (equal values, 0.0 and -0.0 too, sort by position), and the exact
+    mean of k copies of x. ABC reads abc_indices' opinions in one pass."""
     opinions = index.opinions
-    if backend == EXACT:
-        mean = lambda values: mean_exact(*common_numerators(values))
-        if model.kind == "knn":
-            knn, k = index.knn, model.k
-            return lambda idx: mean([opinions[j] for j in knn(idx, k)])
-        d = model.d
-        return lambda idx: mean([opinions[j] for j in abc_indices(opinions, idx, d)])
+    mean = mean_float if backend == FLOAT else lambda vs: mean_exact(*common_numerators(vs))
     if model.kind == "abc":
         d = model.d
 
         def update(idx):
             x = opinions[idx]
-            return mean_float([v for v in opinions if abs(v - x) <= d])
+            return mean([v for v in opinions if abs(v - x) <= d])
         return update
     knn, k, pairs = index.knn, model.k, index.pairs
     last = len(pairs) - k   # the highest a with k pairs from a on
@@ -119,7 +112,7 @@ def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
         a = bisect_left(pairs, (x,))
         if a <= last and pairs[a + k - 1][0] == x:
             return pairs[a][0]
-        return mean_float([opinions[j] for j in knn(idx, k)])
+        return mean([opinions[j] for j in knn(idx, k)])
     return update
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from knnopinion import harness, numerics
 from knnopinion.convergence import run_shrink_schedule
-from knnopinion.dynamics import Configuration, OpinionIndex
+from knnopinion.dynamics import Configuration
 from knnopinion.export import trajectory_to_csv
 from knnopinion.harness import (
     CLASS_CONSENSUS,
@@ -74,13 +74,13 @@ def test_exact_backend_detects_equilibrium():
 ])
 def test_exact_probe_stops_at_the_first_agent_that_moves(monkeypatch, opinions, k, probes, stop):
     calls = []
-    knn = OpinionIndex.knn
+    real = harness._update_map
 
-    def counted(index, idx, k):
-        calls.append(idx)
-        return knn(index, idx, k)
+    def counted(index, model, backend):
+        update = real(index, model, backend)
+        return lambda idx: calls.append(idx) or update(idx)
 
-    monkeypatch.setattr(OpinionIndex, "knn", counted)
+    monkeypatch.setattr(harness, "_update_map", counted)
     spec = knn_spec(model=ModelSpec(kind="knn", k=k), max_steps=0,
                     initial=InitialSpec(kind="explicit", opinions=opinions))
     assert simulate(spec).stop_reason == stop
@@ -104,6 +104,38 @@ def test_update_map_is_bound_once_and_again_per_index_rebuild(monkeypatch, model
                                     EventSpec(kind="remove", step=2, agent=1))))
     assert [e["kind"] for e in rec.events_log] == ["add", "remove"]
     assert sizes == [4, 5, 4]
+
+
+NO_ORACLE_RUNS = [   # (model, opinions, added opinion); agents 1 and 2 make a group of k = 2
+    (ModelSpec(kind="knn", k=2), (F(0), F(0), F(1, 4), F(3, 4), F(1)), F(1, 2)),
+    (ModelSpec(kind="abc", d=F(1, 4)), (F(0), F(0), F(1, 4), F(3, 4), F(1)), F(1, 2)),
+    (ModelSpec(kind="knn", k=2), (0.0, 0.0, 0.25, 0.75, 1.0), 0.5),
+    (ModelSpec(kind="abc", d=0.25), (0.0, 0.0, 0.25, 0.75, 1.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("model, opinions, added", NO_ORACLE_RUNS,
+                         ids=["exact-knn", "exact-abc", "float-knn", "float-abc"])
+def test_the_engine_calls_no_oracle(monkeypatch, model, opinions, added):
+    # knn_indices and abc_indices are the literal rules the update map is
+    # tested against; simulate itself must not call them
+    def oracle(*args):
+        raise AssertionError("simulate called an oracle")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "knnopinion":
+            for rule in ("knn_indices", "abc_indices"):
+                if hasattr(module, rule):
+                    monkeypatch.setattr(module, rule, oracle)
+                    patched.add(name)
+    assert "knnopinion.dynamics" in patched
+    rec = simulate(knn_spec(model=model, max_steps=60,
+                            initial=InitialSpec(kind="explicit", opinions=opinions),
+                            events=(EventSpec(kind="add", step=1, opinion=added),
+                                    EventSpec(kind="remove", step=2, agent=3))))
+    assert [e["kind"] for e in rec.events_log] == ["add", "remove"]
+    assert rec.total_steps > 2
 
 
 def test_a_seeded_knn_run_stops_at_its_pinned_step_with_its_pinned_update_count(monkeypatch):
