@@ -215,7 +215,9 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
         end = min(t - t % n + n, spec.max_steps, event.step if event is not None else t + n)
         move, pairs = index.move, index.pairs
         for pos in take(end - t):
-            move(pos, update(pos))
+            new = update(pos)
+            if new is not opinions[pos]:   # an equal value, -0.0 for 0.0 too, still moves
+                move(pos, new)
             updaters.append(ids[pos])
             # index.min() and index.max(), read without two calls per step
             mins.append(pairs[0][0])

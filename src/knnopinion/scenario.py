@@ -25,7 +25,8 @@ Example document:
 Each kind of object declares its fields and defaults once, as rows
 `{key: (parse, default)}` in its spec class's FIELDS (SCENARIO_FIELDS at the
 top level, GROUP_FIELDS for a clusters group, RANDOM_OPINION_FIELDS for an
-add event's random opinion); parsing and to_dict read them in row order.
+add event's random opinion, ROBUSTNESS_FIELDS for a robustness document of
+each mode); parsing and to_dict read them in row order.
 validate_scenario gives a spec built in code a document's checks by
 re-parsing its to_dict().
 
@@ -82,23 +83,18 @@ def _fields(raw: dict, rows: dict, where: str, known=("kind",)) -> dict:
     return out
 
 
-def int_at_least(value, least) -> bool:
-    """True for an integer >= least. JSON true/false parse as Python bools,
-    which are ints too, and are rejected."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def _string(value, field_name):
     _require(isinstance(value, str), field_name, "must be a string")
     return value
 
 
 def _int_field(least, message):
-    """The row parse of an integer field >= least."""
+    """The row parse of an integer field >= least. JSON true/false parse as
+    Python bools, which are ints too, and are rejected."""
     def parse(value, field_name):
-        if int_at_least(value, least):
-            return value
-        raise ScenarioError(f"{field_name}: {message}")
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+                 field_name, message)
+        return value
     return parse
 
 
@@ -178,9 +174,14 @@ def _groups(groups, field_name) -> tuple:
     return tuple(parsed)
 
 
+def _list(value, field_name) -> list:
+    _require(isinstance(value, list), field_name, "must be a list")
+    return value
+
+
 def _agents(agents, field_name) -> tuple:
-    _require(isinstance(agents, list), field_name, "must be a list")
-    return tuple(_agent_id(a, f"{field_name}[{i}]") for i, a in enumerate(agents))
+    return tuple(_agent_id(a, f"{field_name}[{i}]")
+                 for i, a in enumerate(_list(agents, field_name)))
 
 
 RANDOM_OPINION_FIELDS = {"low": (_finite_float, 0.0), "high": (_finite_float, 1.0)}
@@ -322,9 +323,8 @@ def _event_step(raw, where) -> None:
 
 
 def _events(raw, field_name) -> tuple:
-    _require(isinstance(raw, list), field_name, "must be a list")
     out = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_list(raw, field_name)):
         _event_step(entry, f"{field_name}[{i}]")
         out.append(_kinded(EventSpec, entry, f"{field_name}[{i}]"))
     return tuple(out)
@@ -405,16 +405,23 @@ def parse_configuration(raw, where="") -> Configuration:
     return Configuration(_kinded(InitialSpec, dict(raw, kind=kind), where[:-1]).fixed_opinions())
 
 
-def _count(raw, name, default, least):
-    value = raw.get(name, default)
-    _require(int_at_least(value, least), name, f"must be an integer >= {least}")
-    return value
+_ROBUSTNESS_SHARED = {
+    "base": (lambda raw, field_name: parse_configuration(raw, f"{field_name}."), REQUIRED),
+    "k": (_positive, REQUIRED),
+    "abc_d": (lambda d, field_name: None if d is None else _abc_d(d, field_name), None),
+    "schedule_seed": (_seed, 0),
+    "max_steps": (_step, ROBUSTNESS_MAX_STEPS),
+}
+ROBUSTNESS_FIELDS = {
+    "add": {**_ROBUSTNESS_SHARED, "tol": (_tol, ADDITION_TOL),
+            "addition_seed": (_seed, 0), "additions": (_list, [])},
+    "remove": {**_ROBUSTNESS_SHARED, "tol": (_tol, DEFAULT_TOL), "remove": (_agent_id, REQUIRED)},
+}
 
 
 def _parse_additions(raw_additions, seed, max_steps) -> list:
     """(step, float opinion) pairs; uniform_random opinions are drawn here,
     in list order, from the seed's "additions" substream."""
-    _require(isinstance(raw_additions, list), "additions", "must be a list")
     rng = SeededRng(seed).derive("additions")
     additions = []
     for i, entry in enumerate(raw_additions):
@@ -433,32 +440,21 @@ def _parse_additions(raw_additions, seed, max_steps) -> list:
 
 
 def parse_robustness(raw, mode) -> dict:
-    """A `robustness add|remove` document as the keyword arguments of
+    """A `robustness add|remove` document, read by the rows of
+    ROBUSTNESS_FIELDS[mode], as the keyword arguments of
     harness.robustness_addition (mode "add") or robustness_removal
     ("remove"). Whether the base is clustered is left to those two."""
     _require(isinstance(raw, dict), "robustness document", "must be a JSON object")
-    _fields(raw, {}, "", known=("base", "k", "abc_d", "schedule_seed", "max_steps", "tol")
-            + (("additions", "addition_seed") if mode == "add" else ("remove",)))
-    _require("base" in raw, "base", "is required")
-    base = parse_configuration(raw["base"], "base.")
-    k = _count(raw, "k", None, 1)
-    _require(k <= base.n, "k", f"exceeds the base's agent count n={base.n}")
-    abc_d = raw.get("abc_d")
-    abc_d = None if abc_d is None else _abc_d(abc_d, "abc_d")
-    max_steps = _count(raw, "max_steps", ROBUSTNESS_MAX_STEPS, 0)
-    tol = _finite_float(raw.get("tol", ADDITION_TOL if mode == "add" else DEFAULT_TOL), "tol")
-    _require(tol > 0, "tol", "must be positive")
-    kwargs = dict(base=base, k=k, abc_d=abc_d,
-                  schedule_seed=_seed(raw.get("schedule_seed", 0), "schedule_seed"),
-                  max_steps=max_steps, tol=tol)
+    kwargs = _fields(raw, ROBUSTNESS_FIELDS[mode], "", known=())
+    n, k = kwargs["base"].n, kwargs["k"]
+    _require(k <= n, "k", f"exceeds the base's agent count n={n}")
     if mode == "add":
-        seed = _seed(raw.get("addition_seed", 0), "addition_seed")
-        kwargs["additions"] = _parse_additions(raw.get("additions", []), seed, max_steps)
+        kwargs["additions"] = _parse_additions(kwargs["additions"], kwargs.pop("addition_seed"),
+                                               kwargs["max_steps"])
     else:
-        remove = _count(raw, "remove", None, 1)
-        _require(remove <= base.n, "remove", f"agent {remove} is not in the base (n={base.n})")
-        _require(k < base.n, "k", f"must be below n={base.n}: the removal leaves n-1 agents")
-        kwargs["remove_id"] = remove
+        remove = kwargs["remove_id"] = kwargs.pop("remove")
+        _require(remove <= n, "remove", f"agent {remove} is not in the base (n={n})")
+        _require(k < n, "k", f"must be below n={n}: the removal leaves n-1 agents")
     return kwargs
 
 

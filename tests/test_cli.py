@@ -13,7 +13,7 @@ from knnopinion import cli, convergence, dynamics, equilibria
 from knnopinion.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 from knnopinion.export import CSV_HEADER, trajectory_to_csv
 from knnopinion.harness import simulate
-from knnopinion.scenario import json_text, load_scenario, parse_scenario
+from knnopinion.scenario import ScenarioError, json_text, load_scenario, parse_scenario
 from knnopinion.verification import run_suite
 
 SCENARIO = {
@@ -414,6 +414,34 @@ def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, d
     spec = write_json(tmp_path / "r.json", document)
     assert main(["robustness", mode, "--spec", spec]) == EXIT_USAGE
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+def _without(document, key):
+    return {k: v for k, v in document.items() if k != key}
+
+
+@pytest.mark.parametrize("mode, document, line, twin", [
+    ("add", _without(ROBUST_ADD, "k"), "error: k: is required", None),
+    ("add", dict(ROBUST_ADD, k=0), "error: k: must be a positive integer", "model.k"),
+    ("remove", dict(ROBUST_REMOVE, k="x"), "error: k: must be a positive integer", "model.k"),
+    ("add", dict(ROBUST_ADD, max_steps=-1), "error: max_steps: must be a nonnegative integer",
+     "max_steps"),
+    ("remove", dict(ROBUST_REMOVE, tol=0), "error: tol: must be a finite positive number", "tol"),
+    ("remove", _without(ROBUST_REMOVE, "remove"), "error: remove: is required", None),
+    ("remove", dict(ROBUST_REMOVE, remove=0), "error: remove: must be a positive agent id", None),
+])
+def test_robustness_messages_read_as_their_scenario_counterparts(tmp_path, capsys, mode,
+                                                                 document, line, twin):
+    spec = write_json(tmp_path / "r.json", document)
+    assert main(["robustness", mode, "--spec", spec]) == EXIT_USAGE
+    assert line in capsys.readouterr().err.splitlines()
+    if twin is not None:   # the scenario field the robustness field mirrors
+        key = line.split(": ")[1]
+        scenario = dict(SCENARIO, model=dict(SCENARIO["model"]))
+        (scenario["model"] if twin == "model.k" else scenario)[key] = document[key]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(scenario)
+        assert f"error: {exc.value}" == line.replace(f"error: {key}:", f"error: {twin}:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from knnopinion import harness, numerics
 from knnopinion.convergence import run_shrink_schedule
-from knnopinion.dynamics import Configuration
+from knnopinion.dynamics import Configuration, OpinionIndex
 from knnopinion.export import trajectory_to_csv
 from knnopinion.harness import (
     CLASS_CONSENSUS,
@@ -32,10 +33,14 @@ from knnopinion.scenario import (
     ScenarioError,
     ScenarioSpec,
     ScheduleSpec,
+    parse_robustness,
     parse_scenario,
     validate_scenario,
 )
 from builders import build_clustered
+from reference_sim import reference_simulate
+from test_fuzz_documents import ROBUSTNESS
+from test_reference_sim import run
 
 F = Fraction
 
@@ -156,6 +161,43 @@ def test_a_seeded_knn_run_stops_at_its_pinned_step_with_its_pinned_update_count(
         "tol": 1e-9, "record_every": 100000,
     }))
     assert (rec.stop_reason, rec.total_steps, len(calls)) == (STOP_CONVERGED, 1880, 2120)
+
+
+def test_a_step_moves_the_index_only_when_its_update_is_a_new_object(monkeypatch):
+    # an update that returns the agent's own object leaves its slot holding
+    # that object, which the snapshots (record_every 1) keep; 723 of the
+    # run's 1880 updates do
+    moves = []
+    real = OpinionIndex.move
+    monkeypatch.setattr(OpinionIndex, "move",
+                        lambda self, idx, value: moves.append(idx) or real(self, idx, value))
+    spec = parse_scenario({
+        "model": {"kind": "knn", "k": 5},
+        "initial": {"kind": "uniform_random", "n": 20, "seed": 0},
+        "schedule": {"kind": "uniform_random", "seed": 0},
+        "tol": 1e-9, "record_every": 1,
+    })
+    rec = simulate(spec)
+    states = [ops for _, ops in rec.snapshots]
+    same = sum(after[agent - 1] is before[agent - 1]
+               for agent, before, after in zip(rec.updaters, states, states[1:]))
+    assert (rec.stop_reason, rec.total_steps, same) == (STOP_CONVERGED, 1880, 723)
+    assert len(moves) == rec.total_steps - same
+    monkeypatch.undo()
+    assert run(simulate, spec) == run(reference_simulate, spec)
+
+
+def test_an_agent_at_zero_still_moves_to_a_negative_zero():
+    # agent 2's two nearest hold 0.0, so its update is the first such pair's
+    # object, agent 1's -0.0: equal to its own value, but not the same object
+    rec = simulate(parse_scenario({
+        "model": {"kind": "knn", "k": 2},
+        "initial": {"kind": "explicit", "opinions": [-0.0, 0.0, 0.0]},
+        "schedule": {"kind": "explicit", "agents": [2, 3]},
+        "events": [{"kind": "add", "step": 2, "opinion": 0.5}],   # no probe before it
+        "max_steps": 2,
+    }))
+    assert [v.hex() for v in rec.final_opinions] == ["-0x0.0p+0"] * 3 + ["0x1.0000000000000p-1"]
 
 
 def test_shrink_schedule_spec_matches_library_run():
@@ -498,6 +540,13 @@ def test_monte_carlo_guards_large_n():
     with pytest.raises(Exception):
         monte_carlo_consensus(10, 3, runs=1, seed=0)
     monte_carlo_consensus(10, 3, runs=1, seed=0, max_steps=100, allow_large_n=True)
+
+
+@pytest.mark.parametrize("mode, document", ROBUSTNESS)
+def test_robustness_arguments_bind_to_their_harness_call(mode, document):
+    # so that no row of ROBUSTNESS_FIELDS names a key the harness does not take
+    experiment = robustness_addition if mode == "add" else robustness_removal
+    inspect.signature(experiment).bind(**parse_robustness(document, mode))
 
 
 def test_robustness_addition_requires_clustered_base():

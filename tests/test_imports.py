@@ -6,7 +6,8 @@ there.
 
 `cli` is a thin shell: it imports nothing from `equilibria`, no scenario
 spec class and no private name of `harness`, so every experiment and label
-rule it runs lives in the library.
+rule it runs lives in the library. `scenario.parse_robustness` reads its
+document only through `_fields`, as every other document parser does.
 
 Only `scenario` imports `json`, so every document is read by `load_json` and
 every JSON output is written by `json_text`, which rejects NaN.
@@ -167,3 +168,17 @@ def test_cli_is_a_thin_shell():
     spec_classes = {"ScenarioSpec", "ModelSpec", "InitialSpec", "ScheduleSpec", "EventSpec"}
     assert imported_names(source, "scenario") & spec_classes == set()
     assert [n for n in imported_names(source, "harness") if n.startswith("_")] == []
+
+
+def test_robustness_documents_are_read_by_rows():
+    # parse_robustness reads no key of its document itself: every key is a
+    # row of ROBUSTNESS_FIELDS, which _fields reads
+    tree = ast.parse((PACKAGE / "scenario.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "parse_robustness")
+    reads = [node for node in ast.walk(func)
+             if isinstance(node, (ast.Attribute, ast.Subscript))
+             and isinstance(node.value, ast.Name) and node.value.id == "raw"]
+    assert reads == []
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fields"
+               for node in ast.walk(func))
