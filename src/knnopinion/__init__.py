@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     Configuration,
-    NeighborSet,
     ParameterError,
     abc_update,
     diameter,
@@ -26,10 +25,10 @@ from .equilibria import (
 )
 from .convergence import (
     ExtremalSelection,
-    ShrinkSchedule,
     check_z_le_y,
     extremal_selection,
     run_shrink_schedule,
+    shrink_schedule,
     verify_lemma2_monotonicity,
     verify_lemma3_contraction,
     verify_lemma_bigm,

@@ -14,6 +14,7 @@ import functools
 import io
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .export import write_run_outputs
@@ -60,8 +61,6 @@ def cmd_simulate(args) -> int:
     overrides = {key: getattr(args, key) for key in ("max_steps", "tol", "record_every")
                  if getattr(args, key) is not None}
     if overrides:
-        from dataclasses import replace
-
         spec = replace(spec, **overrides)
     record = simulate(spec)
     paths = write_run_outputs(record, args.out, spec)

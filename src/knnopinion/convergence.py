@@ -42,18 +42,9 @@ class ExtremalSelection:
     z: Scalar     # min opinion within the big_m agent's neighborhood
 
 
-@dataclass(frozen=True)
-class ShrinkSchedule:
+def shrink_schedule(k: int) -> list:
     """k-1 updates of the lowest agent followed by k-1 of the highest."""
-
-    k: int
-
-    @property
-    def steps(self) -> list:
-        return [MU] * (self.k - 1) + [BIG_M] * (self.k - 1)
-
-    def __len__(self) -> int:
-        return 2 * self.k - 2
+    return [MU] * (k - 1) + [BIG_M] * (k - 1)
 
 
 @dataclass
@@ -178,7 +169,7 @@ def run_shrink_schedule(config: Configuration, k: int) -> ScheduleRun:
     contraction is guaranteed only for n < 2k; the run is executed for any
     n."""
     _check_k(k, config.n)
-    return run_schedule_tags(config, k, ShrinkSchedule(k).steps)
+    return run_schedule_tags(config, k, shrink_schedule(k))
 
 
 def verify_lemma2_monotonicity(config: Configuration, k: int, steps: int) -> VerifierReport:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -171,14 +170,6 @@ _set_keys, _set_den, _set_opinions = (
     Configuration.__dict__[name].__set__ for name in Configuration.__slots__)
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Neighbor ids of one agent, in selection order (distance, then id)."""
-
-    agent: int
-    members: tuple
-
-
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} violates 1 <= k <= n={n}")
@@ -274,11 +265,11 @@ def _config_mean(config: Configuration, idxs: list) -> Scalar:
     return mean_float(vals) if config.den is None else mean_exact(vals, config.den)
 
 
-def knn_neighbors(config: Configuration, i: int, k: int) -> NeighborSet:
+def knn_neighbors(config: Configuration, i: int, k: int) -> tuple:
+    """Neighbor ids of agent i, in selection order (distance, then id)."""
     _check_k(k, config.n)
     config._check_agent(i)
-    idxs = knn_indices(config.keys, i - 1, k)
-    return NeighborSet(agent=i, members=tuple(j + 1 for j in idxs))
+    return tuple(j + 1 for j in knn_indices(config.keys, i - 1, k))
 
 
 def knn_update(config: Configuration, i: int, k: int) -> Configuration:

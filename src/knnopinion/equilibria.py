@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .dynamics import (Configuration, ParameterError, _check_k, _config_mean, knn_indices,
                        knn_neighbors, knn_update)
-from .numerics import EXACT, FLOAT, BackendError, Scalar
+from .numerics import EXACT, FLOAT, BackendError, Scalar, format_scalar
 
 
 class FloatBackendError(BackendError):
@@ -48,8 +48,6 @@ class ClusterPartition:
         return [op for op, _ in self.groups]
 
     def to_jsonable(self) -> dict:
-        from .numerics import format_scalar
-
         return {
             "groups": [
                 {"opinion": format_scalar(op), "members": sorted(members)}
@@ -112,7 +110,7 @@ def is_equilibrium(config: Configuration, k: int) -> EquilibriumReport:
     moved = next((i for i in config.agents() if knn_update(config, i, k) != config), None)
     if moved is not None:
         witnesses["equilibrium"] = {
-            "agent": moved, "neighbors": list(knn_neighbors(config, moved, k).members)}
+            "agent": moved, "neighbors": list(knn_neighbors(config, moved, k))}
 
     mixed = _first_mixed_neighborhood(config, k)
     if mixed is not None:

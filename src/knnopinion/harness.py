@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain, count, cycle, islice
 from typing import Optional
 
-from .convergence import MU, ShrinkSchedule
+from .convergence import MU, shrink_schedule
 from .dynamics import (
     Configuration,
     OpinionIndex,
@@ -283,7 +283,7 @@ def _updater_positions(spec: ScenarioSpec, ids: list, opinions: list):
         # shrink: repeat the 2k-2 tag pattern (empty at k=1), recomputing the
         # extremal agent from the current state at every step
         positions = (opinions.index((min if tag == MU else max)(opinions))
-                     for tag in cycle(ShrinkSchedule(spec.model.k).steps))
+                     for tag in cycle(shrink_schedule(spec.model.k)))
     return lambda count: islice(positions, count)
 
 
@@ -297,19 +297,17 @@ def _explicit_positions(agents, ids: list):
 
 @dataclass
 class MonteCarloStats:
-    n: int
-    k: int
-    runs: int
-    converged: int
-    hitting_times: list
-    consensus_values: list
+    hitting_times: list      # one per run, None where the run never converged
+    consensus_values: list   # one per converged run
     hull_violations: int
-    max_steps: int
-    tol: float
+
+    @property
+    def converged(self) -> int:
+        return len(self.consensus_values)
 
     @property
     def all_converged(self) -> bool:
-        return self.converged == self.runs
+        return self.converged == len(self.hitting_times)
 
 
 def monte_carlo_consensus(
@@ -356,11 +354,7 @@ def monte_carlo_consensus(
             consensus_values.append(c)
             if not rec.mins[0] <= c <= rec.maxs[0]:
                 hull_violations += 1
-    return MonteCarloStats(
-        n=n, k=k, runs=runs, converged=len(consensus_values),
-        hitting_times=hitting_times, consensus_values=consensus_values,
-        hull_violations=hull_violations, max_steps=max_steps, tol=tol,
-    )
+    return MonteCarloStats(hitting_times, consensus_values, hull_violations)
 
 
 class NotClusteredError(ScenarioError):

@@ -253,7 +253,7 @@ class ModelSpec(_Spec):
     k: Optional[int] = None
     d: Optional[object] = None
 
-    FIELDS = {"knn": {"k": (_positive, None)}, "abc": {"d": (_abc_d, None)}}
+    FIELDS = {"knn": {"k": (_positive, REQUIRED)}, "abc": {"d": (_abc_d, None)}}
     KIND_ERROR = "must be 'knn' or 'abc'"
 
 

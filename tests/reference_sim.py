@@ -13,7 +13,7 @@ stop rule.
 
 from fractions import Fraction
 
-from knnopinion.convergence import MU, ShrinkSchedule
+from knnopinion.convergence import MU, shrink_schedule
 from knnopinion.dynamics import Configuration, abc_update, knn_update
 from knnopinion.equilibria import single_linkage_groups
 from knnopinion.harness import (CLASS_NOT_CONVERGED, STOP_CONVERGED, STOP_EQUILIBRIUM,
@@ -62,7 +62,7 @@ def reference_simulate(spec) -> TrajectoryRecord:
     events = {e.step: e for e in spec.events}
     rng_events = SeededRng(spec.event_seed).derive("events")
     rng_sched = SeededRng(schedule.seed).derive("schedule")
-    tags = ShrinkSchedule(model.k).steps if schedule.kind == "shrink" else []
+    tags = shrink_schedule(model.k) if schedule.kind == "shrink" else []
 
     rec = TrajectoryRecord(name=spec.name, backend=backend)
     rec.recorded_steps.append(0)

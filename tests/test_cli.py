@@ -421,7 +421,7 @@ def _without(document, key):
 
 
 @pytest.mark.parametrize("mode, document, line, twin", [
-    ("add", _without(ROBUST_ADD, "k"), "error: k: is required", None),
+    ("add", _without(ROBUST_ADD, "k"), "error: k: is required", "model.k"),
     ("add", dict(ROBUST_ADD, k=0), "error: k: must be a positive integer", "model.k"),
     ("remove", dict(ROBUST_REMOVE, k="x"), "error: k: must be a positive integer", "model.k"),
     ("add", dict(ROBUST_ADD, max_steps=-1), "error: max_steps: must be a nonnegative integer",
@@ -438,7 +438,11 @@ def test_robustness_messages_read_as_their_scenario_counterparts(tmp_path, capsy
     if twin is not None:   # the scenario field the robustness field mirrors
         key = line.split(": ")[1]
         scenario = dict(SCENARIO, model=dict(SCENARIO["model"]))
-        (scenario["model"] if twin == "model.k" else scenario)[key] = document[key]
+        target = scenario["model"] if twin == "model.k" else scenario
+        if key in document:
+            target[key] = document[key]
+        else:
+            del target[key]
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(scenario)
         assert f"error: {exc.value}" == line.replace(f"error: {key}:", f"error: {twin}:")

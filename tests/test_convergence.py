@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from knnopinion import convergence
 from knnopinion.convergence import (
-    ShrinkSchedule,
     check_z_le_y,
     extremal_selection,
     random_exact_configuration,
     reflect,
     run_shrink_schedule,
+    shrink_schedule,
     verify_lemma2_monotonicity,
     verify_lemma3_contraction,
     verify_lemma_bigm,
@@ -82,8 +82,7 @@ def test_z_le_y_boundary():
 
 def test_schedule_length():
     for k in range(1, 9):
-        assert len(ShrinkSchedule(k)) == 2 * k - 2
-        assert len(ShrinkSchedule(k).steps) == 2 * k - 2
+        assert len(shrink_schedule(k)) == 2 * k - 2
 
 
 def test_shrink_three_agents_tight():

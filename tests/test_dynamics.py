@@ -38,22 +38,22 @@ def oracle_knn_members(config, i, k):
 def test_tie_counterexample_neighbors_of_middle_agent():
     x = Configuration([F(0), F(1), F(0), F(1), F(0), F(1), F(1, 2)])
     ns = knn_neighbors(x, 7, 3)
-    assert ns.members == (7, 1, 2)  # self at distance 0, then lowest ids win the six-way tie
+    assert ns == (7, 1, 2)  # self at distance 0, then lowest ids win the six-way tie
 
 
 def test_k_equals_n_gives_everyone():
     x = Configuration([F(3), F(0), F(9)])
-    assert set(knn_neighbors(x, 2, 3).members) == {1, 2, 3}
+    assert set(knn_neighbors(x, 2, 3)) == {1, 2, 3}
 
 
 def test_example1_agent12_neighbors():
     x = build_example1(F(0), F(1))
-    assert set(knn_neighbors(x, 12, 5).members) == {1, 12, 13, 14, 15}
+    assert set(knn_neighbors(x, 12, 5)) == {1, 12, 13, 14, 15}
 
 
 def test_all_equal_excludes_self_when_ties_fill_up():
     x = Configuration([F(0)] * 4)
-    assert set(knn_neighbors(x, 3, 2).members) == {1, 2}
+    assert set(knn_neighbors(x, 3, 2)) == {1, 2}
 
 
 def test_neighbors_match_bruteforce_oracle():
@@ -63,7 +63,7 @@ def test_neighbors_match_bruteforce_oracle():
         k = 1 + rng.randbelow(n)
         x = Configuration([F(rng.randbelow(8), 1 + rng.randbelow(3)) for _ in range(n)])
         i = 1 + rng.randbelow(n)
-        assert set(knn_neighbors(x, i, k).members) == oracle_knn_members(x, i, k)
+        assert set(knn_neighbors(x, i, k)) == oracle_knn_members(x, i, k)
 
 
 def test_update_example1_is_fixed_for_agent12():
@@ -80,7 +80,7 @@ def test_update_consensus_fixed():
 def test_update_three_agents_midpoint():
     # N_2 = {1, 2}: agents 1 and 3 tie at distance 1/2, lower id wins
     x = Configuration([F(0), F(1, 2), F(1)])
-    assert set(knn_neighbors(x, 2, 2).members) == oracle_knn_members(x, 2, 2) == {1, 2}
+    assert set(knn_neighbors(x, 2, 2)) == oracle_knn_members(x, 2, 2) == {1, 2}
     assert knn_update(x, 2, 2) == Configuration([F(0), F(1, 4), F(1)])
 
 

@@ -238,8 +238,8 @@ def _literal_extremal(config, k):
     def key(j):
         return ops[j - 1]
 
-    y = config.opinion(max(knn_neighbors(config, mu, k).members, key=key))
-    z = config.opinion(min(knn_neighbors(config, big_m, k).members, key=key))
+    y = config.opinion(max(knn_neighbors(config, mu, k), key=key))
+    z = config.opinion(min(knn_neighbors(config, big_m, k), key=key))
     return mu, big_m, y, z
 
 
@@ -261,7 +261,7 @@ def test_extremal_selection_is_the_knn_neighbors_definition(config):
 
 def _literal_witnesses(config, k):
     ops, agents = config.opinions, config.agents()
-    members = {i: knn_neighbors(config, i, k).members for i in agents}
+    members = {i: knn_neighbors(config, i, k) for i in agents}
     witnesses = {}
     moved = [i for i in agents if sum((ops[j - 1] for j in members[i]), F(0)) / k != ops[i - 1]]
     if moved:

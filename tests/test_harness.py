@@ -187,6 +187,26 @@ def test_a_step_moves_the_index_only_when_its_update_is_a_new_object(monkeypatch
     assert run(simulate, spec) == run(reference_simulate, spec)
 
 
+@pytest.mark.parametrize("model, probes", [({"kind": "knn", "k": 5}, 95),
+                                           ({"kind": "abc", "d": 0.3}, 26)])
+def test_the_float_probe_returns_a_bool(monkeypatch, model, probes):
+    # perfbench's harness.probe span counts the results that are `True`, so a
+    # truthy non-bool would read as a probe that never found the stop
+    results = []
+    real = harness._float_converged
+    monkeypatch.setattr(harness, "_float_converged",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    rec = simulate(parse_scenario({
+        "model": model,
+        "initial": {"kind": "uniform_random", "n": 20, "seed": 0},
+        "schedule": {"kind": "uniform_random", "seed": 0},
+        "tol": 1e-9, "record_every": 100000,
+    }))
+    assert rec.stop_reason == STOP_CONVERGED and len(results) == probes
+    assert all(r is True or r is False for r in results)
+    assert results[-1] is True
+
+
 def test_an_agent_at_zero_still_moves_to_a_negative_zero():
     # agent 2's two nearest hold 0.0, so its update is the first such pair's
     # object, agent 1's -0.0: equal to its own value, but not the same object

@@ -12,6 +12,9 @@ document only through `_fields`, as every other document parser does.
 Only `scenario` imports `json`, so every document is read by `load_json` and
 every JSON output is written by `json_text`, which rejects NaN.
 
+`knnopinion.__all__` is pinned as a literal list, so a change to the
+public API is a visible test edit.
+
 The project ships no linter, so these stdlib `ast` checks stand in for one.
 `__init__.py` is exempt from the import rule: its imports are the public API.
 A public name counts as used where code names it (a name or an attribute),
@@ -168,6 +171,23 @@ def test_cli_is_a_thin_shell():
     spec_classes = {"ScenarioSpec", "ModelSpec", "InitialSpec", "ScheduleSpec", "EventSpec"}
     assert imported_names(source, "scenario") & spec_classes == set()
     assert [n for n in imported_names(source, "harness") if n.startswith("_")] == []
+
+
+def test_the_public_api_is_pinned():
+    # a public name removed or renamed shows up here as a one-line diff
+    assert sorted(knnopinion.__all__) == [
+        "ClusterPartition", "Configuration", "EquilibriumReport", "ExtremalSelection",
+        "MonteCarloStats", "ParameterError", "Scalar", "ScenarioError", "ScenarioSpec",
+        "SeededRng", "TrajectoryRecord", "abc_update", "batch_sweep", "build_example1",
+        "build_tie_counterexample", "check_z_le_y", "classify_configuration", "convergence",
+        "diameter", "dynamics", "equilibria", "extremal_selection", "figure_runs",
+        "format_scalar", "harness", "is_clustered", "is_equilibrium", "knn_neighbors",
+        "knn_update", "load_scenario", "max_cluster_count", "monte_carlo_consensus",
+        "numerics", "parse_scalar", "parse_scenario", "partition_clusters",
+        "quantize_clusters", "rng", "robustness_addition", "robustness_removal",
+        "run_shrink_schedule", "scenario", "shrink_schedule", "simulate",
+        "verify_lemma2_monotonicity", "verify_lemma3_contraction", "verify_lemma_bigm",
+    ]
 
 
 def test_robustness_documents_are_read_by_rows():
