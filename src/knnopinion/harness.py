@@ -9,6 +9,7 @@ step from that step on.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -26,8 +27,8 @@ from .dynamics import (
 )
 from .equilibria import (build_example1, is_clustered, is_equilibrium, quantize_clusters,
                          single_linkage_groups)
-from .numerics import (EXACT, FLOAT, BackendError, coerce_all, common_numerators,
-                       format_scalar, mean_exact, mean_float)
+from .numerics import (EXACT, FLOAT, BackendError, common_numerators, format_scalar,
+                       mean_exact, mean_float)
 from .rng import SeededRng
 from .scenario import (
     ADDITION_TOL,
@@ -84,7 +85,7 @@ def _build_initial(spec: InitialSpec):
         rng = SeededRng(spec.seed).derive("init")
         opinions = [rng.uniform(spec.low, spec.high) for _ in range(spec.n)]
         return opinions, FLOAT
-    return coerce_all(spec.fixed_opinions())
+    return spec.fixed_opinions(), spec.backend()
 
 
 def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
@@ -165,8 +166,9 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     """Run one scenario to convergence, equilibrium, schedule end or the
     step cap. Deterministic: identical spec -> bit-identical record. Steps
     run in blocks up to the next multiple of n, event step or max_steps, the
-    only steps where an event, probe or the cap can act."""
-    validate_scenario(spec)
+    only steps where an event, probe or the cap can act. It runs the spec
+    validate_scenario returns, so only parsed values reach the loop."""
+    spec = validate_scenario(spec)
     opinions, backend = _build_initial(spec.initial)
     k, tol, record_every = spec.model.k, spec.tol, spec.record_every
     ids = list(range(1, len(opinions) + 1))
@@ -250,11 +252,12 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
 
 def _apply_event(event, ids, opinions, new_ids, backend, rng_events, record):
     if event.kind == "add":
-        # validate_scenario admits floats and random opinions in float runs only
-        if isinstance(event.opinion, tuple) and event.opinion[0] == "uniform_random":
+        # a parsed opinion is a float, a Fraction or ("uniform_random", low, high);
+        # validate_scenario admits the first and the last in float runs only
+        if isinstance(event.opinion, tuple):
             value = rng_events.uniform(event.opinion[1], event.opinion[2])
         else:
-            value = float(event.opinion) if backend == FLOAT else Fraction(event.opinion)
+            value = float(event.opinion) if backend == FLOAT else event.opinion
         agent = next(new_ids)
         ids.append(agent)
         opinions.append(value)
@@ -563,8 +566,9 @@ def batch_sweep(specs, jobs: int = 1) -> SweepResult:
     """Run every scenario (independently seeded via their own documents) and
     aggregate. Results merge in scenario order regardless of completion
     order, so the aggregate is deterministic."""
-    # a pool starts all its workers at once, so it gets no more than there are entries
-    workers = min(jobs, len(specs))
+    # a pool forks all its workers at once, so it gets no more than there are
+    # entries or CPUs
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -16,7 +16,7 @@ reduced by one gcd, over lcm(D, q), without building a Fraction.
 The backend is decided where a state is built (Configuration, simulate's
 backend); the hot paths then call the typed kernels mean_float and
 mean_exact, except the exact k-NN update, which stores its ratio instead.
-coerce_all serves the API edges.
+coerce_all serves only Configuration(...) and Configuration.replace.
 
 Float backend: IEEE-754 binary64.
 

@@ -28,7 +28,7 @@ top level, GROUP_FIELDS for a clusters group, RANDOM_OPINION_FIELDS for an
 add event's random opinion, ROBUSTNESS_FIELDS for a robustness document of
 each mode); parsing and to_dict read them in row order.
 validate_scenario gives a spec built in code a document's checks by
-re-parsing its to_dict().
+re-parsing its to_dict(), and simulate runs that re-parse.
 
 The CLI's other documents parse here too: parse_configuration (classify),
 parse_robustness (robustness add|remove) and parse_grid (sweep). Every
@@ -47,7 +47,7 @@ from functools import partial
 from typing import Optional
 
 from .dynamics import Configuration
-from .numerics import FLOAT, BackendError, coerce_all, format_scalar, parse_scalar
+from .numerics import FLOAT, BackendError, backend_of, format_scalar, parse_scalar
 from .rng import SeededRng
 
 DEFAULT_MAX_STEPS = 10**6
@@ -224,7 +224,7 @@ def _json(value):
         return value
     if value[:1] == ("uniform_random",):   # a list slice never equals a tuple
         return dict(zip(("kind", *RANDOM_OPINION_FIELDS), value))
-    if value and isinstance(value[0], (tuple, dict)):   # clusters groups; _same_shape names a dict
+    if value and isinstance(value[0], (tuple, dict)):   # clusters groups; a dict is written as is
         return [dict(zip(GROUP_FIELDS, map(_json, g))) if isinstance(g, tuple) else g
                 for g in value]
     return list(map(_json, value))
@@ -281,10 +281,11 @@ class InitialSpec(_Spec):
         return sum(size for _, size in self.groups)
 
     def backend(self) -> str:
-        """FLOAT for a random state, else the one backend of the fixed opinions."""
+        """FLOAT for a random state, else the first parsed opinion's backend:
+        _one_backend has made the opinions all floats or all Fractions."""
         if self.kind == "uniform_random":
             return FLOAT
-        return coerce_all(self.fixed_opinions())[1]
+        return backend_of(self.opinions[0] if self.kind == "explicit" else self.groups[0][0])
 
     def fixed_opinions(self) -> list:
         """The opinions of an explicit or clusters state, in agent order."""
@@ -516,29 +517,12 @@ def load_scenario(path) -> ScenarioSpec:
     return parse_scenario(load_json(path))
 
 
-def validate_scenario(spec: ScenarioSpec) -> None:
-    """A spec built or changed in code (a CLI override, a library caller)
-    gets exactly a document's checks and messages, and must hold a spec or
-    tuple wherever its re-parse does: a document-shaped dict in its place
-    passes the re-parse but cannot run."""
-    _same_shape(spec, parse_scenario(spec.to_dict()), "")
-
-
-def _same_shape(given, parsed, where) -> None:
-    """`given` holds a spec of the same class wherever `parsed` does, and a
-    tuple or list wherever it holds a tuple; errors name the field."""
-    if isinstance(parsed, _Spec):
-        _require(isinstance(given, type(parsed)), where,
-                 f"must be {type(parsed).__name__}, not {type(given).__name__}")
-        for f in fields(parsed):
-            _same_shape(getattr(given, f.name), getattr(parsed, f.name),
-                        f"{where}.{f.name}" if where else f.name)
-    elif isinstance(parsed, tuple):
-        _require(isinstance(given, (tuple, list)), where,
-                 f"must be tuple, not {type(given).__name__}")
-        if parsed and isinstance(parsed[0], (_Spec, tuple)):   # events, groups
-            for i, (g, p) in enumerate(zip(given, parsed)):
-                _same_shape(g, p, f"{where}[{i}]")
+def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
+    """The spec a run reads: a spec built or changed in code (a CLI override,
+    a library caller) re-parsed from its to_dict(). It gets a document's exact
+    checks and messages, and a document's dict in place of a sub-spec, event,
+    random opinion or clusters group runs as the spec that dict describes."""
+    return parse_scenario(spec.to_dict())
 
 
 def _cross_checks(spec: ScenarioSpec) -> None:

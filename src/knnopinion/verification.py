@@ -84,23 +84,27 @@ def verify_clustered_implies_equilibrium(trials: int, seed) -> VerifierReport:
     return scan_trials("clustered_implies_equilibrium", trials, case, {"checked": trials})
 
 
+def _first_failure(name, passed_detail, reports) -> VerifierReport:
+    """The first failed report of the lazy `reports`, so no check after it
+    runs or draws, else a passed report `name` with `passed_detail`."""
+    return next((r for r in reports if not r.passed),
+                VerifierReport(name=name, passed=True, detail=passed_detail))
+
+
 def verify_floor_bound_tight() -> VerifierReport:
     """For every (n, k) with n <= 20 a clustered layout with floor(n/k)
     groups exists: floor(n/k) - 1 groups of size k plus one group with the
     remainder."""
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            count = max_cluster_count(n, k)
-            sizes = [k] * (count - 1) + [n - k * (count - 1)]
-            config = Configuration(
-                [Fraction(gi) for gi, size in enumerate(sizes) for _ in range(size)]
-            )
-            if len(partition_clusters(config).groups) != count or not is_clustered(config, k):
-                return VerifierReport(
-                    name="floor_bound_tight", passed=False,
-                    detail={"n": n, "k": k, "sizes": sizes},
-                )
-    return VerifierReport(name="floor_bound_tight", passed=True, detail={"n_max": 20})
+    def check(n, k):
+        count = max_cluster_count(n, k)
+        sizes = [k] * (count - 1) + [n - k * (count - 1)]
+        config = Configuration([Fraction(gi) for gi, size in enumerate(sizes) for _ in range(size)])
+        passed = len(partition_clusters(config).groups) == count and is_clustered(config, k)
+        return VerifierReport(name="floor_bound_tight", passed=passed,
+                              detail={"n": n, "k": k, "sizes": sizes})
+
+    return _first_failure("floor_bound_tight", {"n_max": 20},
+                          (check(n, k) for n in range(1, 21) for k in range(1, n + 1)))
 
 
 def verify_counterexamples(pairs: int, seed) -> VerifierReport:
@@ -139,15 +143,9 @@ def verify_zy_dichotomy_grid(trials_per_pair: int, seed, n_max: int = 12) -> Ver
     """check_z_le_y for every (n, k) with 2 <= n <= n_max."""
     if n_max < 2:
         raise ParameterError("n_max must be >= 2")
-    for n in range(2, n_max + 1):
-        for k in range(1, n + 1):
-            report = check_z_le_y(n, k, trials_per_pair, seed)
-            if not report.passed:
-                return report
-    return VerifierReport(
-        name="z_le_y", passed=True,
-        detail={"n_max": n_max, "trials_per_pair": trials_per_pair},
-    )
+    return _first_failure("z_le_y", {"n_max": n_max, "trials_per_pair": trials_per_pair},
+                          (check_z_le_y(n, k, trials_per_pair, seed)
+                           for n in range(2, n_max + 1) for k in range(1, n + 1)))
 
 
 def verify_shrink_grid(trials_per_pair: int, seed, n_max: int = 10) -> VerifierReport:
@@ -155,19 +153,17 @@ def verify_shrink_grid(trials_per_pair: int, seed, n_max: int = 10) -> VerifierR
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     rng = SeededRng(seed).derive("shrink")
-    for n in range(1, n_max + 1):
-        for k in range((n // 2) + 1, n + 1):
-            def case():
-                report = verify_shrink_contraction(random_exact_configuration(n, rng), k)
-                return None if report.passed else report.detail
 
-            report = scan_trials("shrink_contraction", trials_per_pair, case, {})
-            if not report.passed:
-                return report
-    return VerifierReport(
-        name="shrink_contraction", passed=True,
-        detail={"n_max": n_max, "trials_per_pair": trials_per_pair},
-    )
+    def pair(n, k):
+        def case():
+            report = verify_shrink_contraction(random_exact_configuration(n, rng), k)
+            return None if report.passed else report.detail
+
+        return scan_trials("shrink_contraction", trials_per_pair, case, {})
+
+    return _first_failure(
+        "shrink_contraction", {"n_max": n_max, "trials_per_pair": trials_per_pair},
+        (pair(n, k) for n in range(1, n_max + 1) for k in range(n // 2 + 1, n + 1)))
 
 
 @dataclass

@@ -17,7 +17,9 @@ document, which must either return or raise `ScenarioError`:
 Each (seed document, path) pins one sha256 of its outcomes, in
 `document_corpus_digests.json`, so a moved error message, a changed default
 or a reordered `to_dict` key names the path that moved. Every accepted
-scenario must also survive a JSON round trip unchanged.
+scenario must also re-parse to itself type for type, compared by repr since
+1 == 1.0 == Fraction(1), from its `to_dict()` (the re-parse `simulate` runs)
+and from its JSON text.
 
 Regenerate the pins after a deliberate change of a message or output with
 `PYTHONPATH=src:tests python tests/test_document_corpus.py`.
@@ -64,7 +66,8 @@ def _mutations(doc):
 
 def _scenario(doc):
     spec = parse_scenario(doc)
-    assert parse_scenario(json.loads(spec.to_json())) == spec
+    for again in (spec.to_dict(), json.loads(spec.to_json())):
+        assert repr(parse_scenario(again)) == repr(spec)
     return spec.to_json()
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -442,37 +443,47 @@ def test_a_spec_built_in_code_gets_the_parser_message(spec, message):
     assert str(info.value) == message
 
 
-DOCUMENT_SHAPED = [   # (spec holding a document's dict where a spec or tuple belongs, message)
-    (knn_spec(model={"kind": "knn", "k": 2}), "model: must be ModelSpec, not dict"),
-    (knn_spec(initial={"kind": "explicit", "opinions": [0.0, 0.5, 1.0]}),
-     "initial: must be InitialSpec, not dict"),
-    (knn_spec(schedule={"kind": "uniform_random", "seed": 1}),
-     "schedule: must be ScheduleSpec, not dict"),
+DOCUMENT_SHAPED = [   # (a document's dict where a spec or tuple belongs, the spec it describes)
+    (knn_spec(model={"kind": "knn", "k": 3}), knn_spec(model=ModelSpec(kind="knn", k=3))),
+    (knn_spec(initial={"kind": "explicit", "opinions": [0.0, 0.25, 1.0]}),
+     knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.0, 0.25, 1.0)))),
+    (knn_spec(schedule={"kind": "uniform_random", "seed": 2}),
+     knn_spec(schedule=ScheduleSpec(kind="uniform_random", seed=2))),
     (knn_spec(events=({"kind": "add", "step": 1, "opinion": 0.5},)),
-     "events[0]: must be EventSpec, not dict"),
+     knn_spec(events=(EventSpec(kind="add", step=1, opinion=0.5),))),
     (knn_spec(events=[EventSpec(kind="add", step=1, opinion=0.5),
                       {"kind": "remove", "step": 2, "agent": 1}]),
-     "events[1]: must be EventSpec, not dict"),
+     knn_spec(events=(EventSpec(kind="add", step=1, opinion=0.5),
+                      EventSpec(kind="remove", step=2, agent=1)))),
     (knn_spec(events=(EventSpec(kind="add", step=1,
-                                opinion={"kind": "uniform_random", "low": 0.0, "high": 1.0}),)),
-     "events[0].opinion: must be tuple, not dict"),
+                                opinion={"kind": "uniform_random", "low": 0.2, "high": 0.4}),)),
+     knn_spec(events=(EventSpec(kind="add", step=1, opinion=("uniform_random", 0.2, 0.4)),))),
     (knn_spec(initial=InitialSpec(kind="clusters", groups=({"opinion": 0.5, "size": 3},))),
-     "initial.groups[0]: must be tuple, not dict"),
+     knn_spec(initial=InitialSpec(kind="clusters", groups=((0.5, 3),)))),
     (knn_spec(initial=InitialSpec(kind="clusters",
                                   groups=((0.1, 2), {"opinion": 0.5, "size": 3}))),
-     "initial.groups[1]: must be tuple, not dict"),
+     knn_spec(initial=InitialSpec(kind="clusters", groups=((0.1, 2), (0.5, 3))))),
     (knn_spec(initial=InitialSpec(kind="clusters",
                                   groups=({"opinion": 0.5, "size": 3}, (0.1, 2)))),
-     "initial.groups[0]: must be tuple, not dict"),
+     knn_spec(initial=InitialSpec(kind="clusters", groups=((0.5, 3), (0.1, 2))))),
 ]
 
 
-@pytest.mark.parametrize("spec, message", DOCUMENT_SHAPED,
-                         ids=[message.split(":")[0] for _, message in DOCUMENT_SHAPED])
-def test_a_document_shaped_dict_in_a_spec_is_a_scenario_error(spec, message):
-    with pytest.raises(ScenarioError) as info:
-        simulate(spec)
-    assert str(info.value) == message
+def record_fields(rec) -> list:
+    """Every field of a record by repr, so 1 == 1.0 == Fraction(1) and
+    0.0 == -0.0 cannot hide a change of type or sign."""
+    return [repr(getattr(rec, f.name)) for f in fields(rec)]
+
+
+# the name is kept from when such a spec was rejected, so its test ids stay stable
+@pytest.mark.parametrize("spec, twin", DOCUMENT_SHAPED, ids=[
+    "model", "initial", "schedule", "events[0]", "events[1]", "events[0].opinion",
+    "initial.groups[0]", "initial.groups[1]", "initial.groups[0]"])
+def test_a_document_shaped_dict_in_a_spec_is_a_scenario_error(spec, twin):
+    """simulate runs the spec validate_scenario re-parses, so a document's
+    dict in place of a sub-spec, event, random opinion or clusters group
+    runs as the spec it describes."""
+    assert record_fields(simulate(spec)) == record_fields(simulate(twin))
 
 
 @pytest.mark.parametrize("initial", [
@@ -701,12 +712,20 @@ def test_batch_sweep_starts_no_more_workers_than_entries(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = knn_spec(initial=InitialSpec(kind="explicit", opinions=(0.5, 0.5, 0.5)))
     assert batch_sweep([spec, spec], jobs=64).classifications == {CLASS_CONSENSUS: 2}
     assert built == [2]
     assert batch_sweep([spec], jobs=64).classifications == {CLASS_CONSENSUS: 1}
     assert batch_sweep([], jobs=64).total == 0
     assert built == [2]
+    # nor more than there are CPUs; an unknown CPU count runs in process
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert batch_sweep([spec] * 5, jobs=64).classifications == {CLASS_CONSENSUS: 5}
+    assert built == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert batch_sweep([spec] * 5, jobs=64).classifications == {CLASS_CONSENSUS: 5}
+    assert built == [2, 3]
 
 
 EXACT_SWEEP = [
@@ -792,7 +811,8 @@ def test_validate_scenario_decides_the_backend_once(coerce_all_calls):
     spec = knn_spec(initial=initial, events=tuple(adds))
     coerce_all_calls.clear()
     validate_scenario(spec)
-    assert coerce_all_calls == [60]
+    # the parser types every opinion, so the backend is the first one's type
+    assert coerce_all_calls == []
 
 
 def test_shrink_schedule_on_a_built_configuration_never_coerces(coerce_all_calls):

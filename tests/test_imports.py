@@ -8,6 +8,8 @@ there.
 spec class and no private name of `harness`, so every experiment and label
 rule it runs lives in the library. `scenario.parse_robustness` reads its
 document only through `_fields`, as every other document parser does.
+Only `dynamics` imports `coerce_all`, for `Configuration(...)` and
+`replace`: the engine runs parsed values and never coerces them again.
 
 Only `scenario` imports `json`, so every document is read by `load_json` and
 every JSON output is written by `json_text`, which rejects NaN.
@@ -171,6 +173,12 @@ def test_cli_is_a_thin_shell():
     spec_classes = {"ScenarioSpec", "ModelSpec", "InitialSpec", "ScheduleSpec", "EventSpec"}
     assert imported_names(source, "scenario") & spec_classes == set()
     assert [n for n in imported_names(source, "harness") if n.startswith("_")] == []
+
+
+def test_only_dynamics_coerces():
+    importers = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+                 if "coerce_all" in imported_names(p.read_text(), "numerics")]
+    assert importers == ["dynamics"]
 
 
 def test_the_public_api_is_pinned():
