@@ -9,6 +9,7 @@ step from that step on.
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left
 from collections import Counter
@@ -80,12 +81,11 @@ class TrajectoryRecord:
         return [hi - lo for lo, hi in zip(self.mins, self.maxs)]
 
 
-def _build_initial(spec: InitialSpec):
-    if spec.kind == "uniform_random":
-        rng = SeededRng(spec.seed).derive("init")
-        opinions = [rng.uniform(spec.low, spec.high) for _ in range(spec.n)]
-        return opinions, FLOAT
-    return spec.fixed_opinions(), spec.backend()
+def _build_initial(spec: InitialSpec) -> list:
+    if spec.kind != "uniform_random":
+        return spec.fixed_opinions()
+    rng = SeededRng(spec.seed).derive("init")
+    return [rng.uniform(spec.low, spec.high) for _ in range(spec.n)]
 
 
 def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
@@ -95,11 +95,14 @@ def _update_map(index: OpinionIndex, model: ModelSpec, backend: str):
     pairs hold x = opinions[idx], the k-NN neighbours are the first k of them
     by position, and the map returns the first, pairs[a][0]: mean_float's
     object (equal values, 0.0 and -0.0 too, sort by position), and the exact
-    mean of k copies of x. ABC reads abc_indices' opinions in one pass."""
+    mean of k copies of x. ABC reads abc_indices' opinions in one pass; a float
+    run compares with the largest float <= d, which gives d's verdicts."""
     opinions = index.opinions
     mean = mean_float if backend == FLOAT else lambda vs: mean_exact(*common_numerators(vs))
     if model.kind == "abc":
         d = model.d
+        if backend == FLOAT and not isinstance(d, float):
+            d = float(d) if float(d) <= d else math.nextafter(float(d), -math.inf)
 
         def update(idx):
             x = opinions[idx]
@@ -169,7 +172,7 @@ def simulate(spec: ScenarioSpec) -> TrajectoryRecord:
     only steps where an event, probe or the cap can act. It runs the spec
     validate_scenario returns, so only parsed values reach the loop."""
     spec = validate_scenario(spec)
-    opinions, backend = _build_initial(spec.initial)
+    opinions, backend = _build_initial(spec.initial), spec.initial.backend()
     k, tol, record_every = spec.model.k, spec.tol, spec.record_every
     ids = list(range(1, len(opinions) + 1))
     new_ids = count(len(opinions) + 1)
@@ -451,7 +454,7 @@ def robustness_addition(
     abc_report = None
     if abc_d is not None:
         abc_report = _run_addition(
-            base_floats, ModelSpec(kind="abc", d=float(abc_d)), additions,
+            base_floats, ModelSpec(kind="abc", d=abc_d), additions,
             schedule_seed, max_steps, tol,
         )
     return AdditionReport(knn=knn_report, abc=abc_report)

@@ -196,6 +196,8 @@ def _event_opinion(op, field_name):
              "must be uniform_random")
     low, high = _fields(op, RANDOM_OPINION_FIELDS, f"{field_name}.").values()
     _require(low <= high, f"{field_name}.low", "must not exceed opinion.high")
+    _require(math.isfinite(high - low), f"{field_name}.high",
+             "must not exceed opinion.low by more than the largest float")
     return ("uniform_random", low, high)
 
 
@@ -274,18 +276,12 @@ class InitialSpec(_Spec):
     KIND_ERROR = "must be uniform_random, explicit or clusters"
 
     def size(self) -> int:
-        if self.kind == "uniform_random":
-            return self.n
-        if self.kind == "explicit":
-            return len(self.opinions)
-        return sum(size for _, size in self.groups)
+        return self.n if self.kind == "uniform_random" else len(self.fixed_opinions())
 
     def backend(self) -> str:
-        """FLOAT for a random state, else the first parsed opinion's backend:
-        _one_backend has made the opinions all floats or all Fractions."""
-        if self.kind == "uniform_random":
-            return FLOAT
-        return backend_of(self.opinions[0] if self.kind == "explicit" else self.groups[0][0])
+        """The run's backend: FLOAT for a random state, else the first parsed
+        opinion's, as _one_backend has made them all floats or all Fractions."""
+        return FLOAT if self.kind == "uniform_random" else backend_of(self.fixed_opinions()[0])
 
     def fixed_opinions(self) -> list:
         """The opinions of an explicit or clusters state, in agent order."""
@@ -526,14 +522,16 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
 
 
 def _cross_checks(spec: ScenarioSpec) -> None:
-    """The rules that tie fields together: initial low <= high, k <= n, shrink
-    needs knn, and the timeline. Event steps strictly increase (one event per
-    step) up to max_steps; an exact run adds only integers and "p/q"; a removal
-    names a present agent, not the last, and keeps k <= n. Added agents get ids
-    n+1, n+2, ... in event order; ids are never reused within a run."""
+    """The rules that tie fields together: initial low <= high a finite float
+    apart, k <= n, shrink needs knn, and the timeline. Event steps strictly
+    increase (one per step) up to max_steps; an exact run adds only integers
+    and "p/q"; a removal names a present agent, not the last, and keeps k <= n.
+    Added agents get ids n+1, n+2, ... in event order, never reused in a run."""
     if spec.initial.kind == "uniform_random":
-        _require(spec.initial.low <= spec.initial.high, "initial.low",
-                 "must not exceed initial.high")
+        low, high = spec.initial.low, spec.initial.high
+        _require(low <= high, "initial.low", "must not exceed initial.high")
+        _require(math.isfinite(high - low), "initial.high",
+                 "must not exceed initial.low by more than the largest float")
     n0 = spec.initial.size()
     k = spec.model.k if spec.model.kind == "knn" else 1   # ABC: 1 <= n holds throughout
     _require(k <= n0, "model.k", f"k={k} exceeds initial agent count n={n0}")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -404,6 +405,9 @@ ROBUST_REMOVE = {
     ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
                                                                 "low": 0.9, "high": 0.1}}]),
      "additions[0].opinion.low"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
+                                                                "low": -1e308, "high": 1e308}}]),
+     "additions[0].opinion.high"),
     ("add", dict(ROBUST_ADD, addition_seed=None), "addition_seed"),
     ("add", dict(ROBUST_ADD, addition_seed=[1]), "addition_seed"),
     ("add", dict(ROBUST_ADD, schedule_seed=2.5), "schedule_seed"),
@@ -490,13 +494,32 @@ def test_robustness_accepts_rational_abc_d(tmp_path, capsys):
     assert "abc" in payload
 
 
+def test_a_uniform_range_just_inside_the_largest_float_runs(tmp_path):
+    # high - low is finite; k = 2 keeps every neighbour sum below the largest float
+    wide = {"kind": "uniform_random", "low": -8e307, "high": 8e307}
+    spec = write_json(tmp_path / "s.json", dict(
+        SCENARIO, model={"kind": "knn", "k": 2}, initial=dict(SCENARIO["initial"], **wide),
+        events=[dict(ADD_EVENT, opinion=wide)]))
+    assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "run")]) == EXIT_OK
+    meta = json.loads((tmp_path / "run.meta.json").read_text())
+    assert meta["classification"] != "not_converged"
+    assert all(math.isfinite(float(v)) for v in meta["final_opinions"])
+    robust = write_json(tmp_path / "r.json", dict(ROBUST_ADD, additions=[{"step": 2,
+                                                                          "opinion": wide}]))
+    assert main(["robustness", "add", "--spec", robust]) == EXIT_OK
+
+
 UNIFORM_ADD = {"kind": "uniform_random", "low": 0.8, "high": 0.2}
+WIDE_ADD = {"kind": "uniform_random", "low": -1e308, "high": 1e308}
 
 
 @pytest.mark.parametrize("change, field", [
     ({"initial": {"kind": "uniform_random", "n": 8, "low": 1.0, "high": 0.0, "seed": 1}},
      "initial.low"),
     ({"events": [dict(ADD_EVENT, opinion=UNIFORM_ADD)]}, "events[0].opinion.low"),
+    # a uniform draw is low + (high - low) * r, so high - low must be a finite float
+    ({"initial": dict(SCENARIO["initial"], low=-1e308, high=1e308)}, "initial.high"),
+    ({"events": [dict(ADD_EVENT, opinion=WIDE_ADD)]}, "events[0].opinion.high"),
     ({"events": [dict(ADD_EVENT, opinion=0.5, step=20001)]}, "events[0].step"),
     ({"events": [dict(ADD_EVENT, opinion=0.5), dict(ADD_EVENT, opinion=0.5)]}, "events"),
     # a seed is an integer or a string: null used to run as the string "None"

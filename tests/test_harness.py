@@ -616,6 +616,24 @@ def test_robustness_addition_new_cluster_when_k_join():
     assert min(added) > 1.0
 
 
+def test_robustness_addition_compares_as_its_scenario_twin():
+    # the float of 1/10 is above 1/10, so the added agent at 0.1 is out of reach
+    kwargs = parse_robustness({"base": {"groups": [{"opinion": "0", "size": 3}]}, "k": 3,
+                               "additions": [{"step": 1, "opinion": 0.1}],
+                               "schedule_seed": 3, "abc_d": "1/10"}, "add")
+    report = robustness_addition(**kwargs).abc
+    twin = simulate(parse_scenario({
+        "name": "robustness-addition", "model": {"kind": "abc", "d": "1/10"},
+        "initial": {"kind": "explicit", "opinions": [0.0, 0.0, 0.0]},
+        "schedule": {"kind": "uniform_random", "seed": 3},
+        "events": [{"kind": "add", "step": 1, "opinion": 0.1}],
+        "max_steps": kwargs["max_steps"], "tol": kwargs["tol"]}))
+    assert (report.classification, report.total_steps) == ("clustered", twin.total_steps)
+    assert twin.classification == "clustered"
+    assert report.final_original_opinions + report.final_added_opinions \
+        == twin.final_opinions == (0.0, 0.0, 0.0, 0.1)
+
+
 def test_robustness_removal_cases():
     k = 5
     tight = build_clustered([(F(0), k), (F(1), k)])

@@ -91,7 +91,7 @@ def bits(value):
     return value.hex() if isinstance(value, float) else (type(value).__name__, value)
 
 
-FIELDS = ("recorded_steps", "snapshots", "updaters", "mins", "maxs", "events_log",
+FIELDS = ("backend", "recorded_steps", "snapshots", "updaters", "mins", "maxs", "events_log",
           "stop_reason", "total_steps", "classification", "final_ids", "final_opinions")
 
 

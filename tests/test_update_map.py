@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from knnopinion.dynamics import OpinionIndex, abc_indices, knn_indices
 from knnopinion.harness import _update_map
-from knnopinion.numerics import EXACT, coerce_all, common_numerators, mean_exact, mean_float
+from knnopinion.numerics import EXACT, FLOAT, coerce_all, common_numerators, mean_exact, mean_float
 from knnopinion.scenario import ModelSpec
 
 POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 2.0, 0.1, 2.0 ** -60, 2.0 ** -59]
-DISTANCES = [0.0, 0.25, 0.5, 1.0, 0.1, Fraction(1, 4)]
+# the float of 1/10 or 1/5 is above it, so a float run compares with the float below
+DISTANCES = [0.0, 0.25, 0.5, 1.0, 0.1, Fraction(1, 4), Fraction(1, 10), Fraction(1, 5)]
 
 
 @st.composite
@@ -120,6 +121,10 @@ ABC_EXAMPLES = [   # (opinions, idx, d)
     ([0.0, 0.25, 0.5, 0.75], 1, Fraction(1, 4)),
     ([1.0, 0.0, 2.0 ** -60, 2.0], 0, 1.0),     # the collapsed near-tie is within d
     ([-0.0, 0.0, 0.5], 1, 0.0),               # d = 0 keeps both signed zeros
+    ([0.0, 0.1, -0.1, 0.2], 0, Fraction(1, 10)),   # 0.1 away is more than 1/10
+    ([0.1, 0.0, -0.0, 0.2], 0, Fraction(1, 10)),
+    ([-0.0, 0.2, 0.0, 0.4], 0, Fraction(1, 5)),    # 0.2 away is more than 1/5
+    ([0.2, -0.0, 0.4, 0.0], 3, Fraction(1, 5)),
 ]
 
 
@@ -131,6 +136,21 @@ def test_float_abc_map_returns_the_literal_mean(state):
     got = updated(opinions, idx, ModelSpec(kind="abc", d=d))
     want = mean_float([opinions[j] for j in abc_indices(opinions, idx, d)])
     assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("opinions, idx, d", ABC_EXAMPLES)
+def test_a_float_abc_map_compares_no_fraction_once_built(monkeypatch, opinions, idx, d):
+    """A float run's map holds the largest float not above d, so its update
+    compares floats only, whatever the type of d."""
+    want = [updated(opinions, j, ModelSpec(kind="abc", d=d)).hex() for j in range(len(opinions))]
+    update = _update_map(OpinionIndex(list(opinions)), ModelSpec(kind="abc", d=d), FLOAT)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared")
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert [update(j).hex() for j in range(len(opinions))] == want
 
 
 EXACT_DISTANCES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(1), 0.25, 0.1, 1 / 3]
