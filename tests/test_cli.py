@@ -405,14 +405,14 @@ ROBUST_REMOVE = {
     ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
                                                                 "low": 0.9, "high": 0.1}}]),
      "additions[0].opinion.low"),
-    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
-                                                                "low": -1e308, "high": 1e308}}]),
-     "additions[0].opinion.high"),
     ("add", dict(ROBUST_ADD, addition_seed=None), "addition_seed"),
     ("add", dict(ROBUST_ADD, addition_seed=[1]), "addition_seed"),
     ("add", dict(ROBUST_ADD, schedule_seed=2.5), "schedule_seed"),
     ("remove", dict(ROBUST_REMOVE, schedule_seed={}), "schedule_seed"),
     ("remove", dict(ROBUST_REMOVE, schedule_seed=True), "schedule_seed"),
+    ("add", dict(ROBUST_ADD, additions=[{"step": 2, "opinion": {"kind": "uniform_random",
+                                                                "low": -1e308, "high": 1e308}}]),
+     "additions[0].opinion.high"),
 ])
 def test_robustness_rejects_bad_fields_with_field_name(tmp_path, capsys, mode, document, field):
     spec = write_json(tmp_path / "r.json", document)
@@ -517,9 +517,6 @@ WIDE_ADD = {"kind": "uniform_random", "low": -1e308, "high": 1e308}
     ({"initial": {"kind": "uniform_random", "n": 8, "low": 1.0, "high": 0.0, "seed": 1}},
      "initial.low"),
     ({"events": [dict(ADD_EVENT, opinion=UNIFORM_ADD)]}, "events[0].opinion.low"),
-    # a uniform draw is low + (high - low) * r, so high - low must be a finite float
-    ({"initial": dict(SCENARIO["initial"], low=-1e308, high=1e308)}, "initial.high"),
-    ({"events": [dict(ADD_EVENT, opinion=WIDE_ADD)]}, "events[0].opinion.high"),
     ({"events": [dict(ADD_EVENT, opinion=0.5, step=20001)]}, "events[0].step"),
     ({"events": [dict(ADD_EVENT, opinion=0.5), dict(ADD_EVENT, opinion=0.5)]}, "events"),
     # a seed is an integer or a string: null used to run as the string "None"
@@ -533,6 +530,9 @@ WIDE_ADD = {"kind": "uniform_random", "low": -1e308, "high": 1e308}
     ({"name": NAN}, "name"),
     ({"name": 3}, "name"),
     ({"name": ["smoke"]}, "name"),
+    # a uniform draw is low + (high - low) * r, so high - low must be a finite float
+    ({"initial": dict(SCENARIO["initial"], low=-1e308, high=1e308)}, "initial.high"),
+    ({"events": [dict(ADD_EVENT, opinion=WIDE_ADD)]}, "events[0].opinion.high"),
 ])
 def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
     spec_path = write_json(tmp_path / "bad.json", dict(SCENARIO, **change))
